@@ -9,6 +9,13 @@ map, a link-level coefficient function ``b(s, c)`` and a level normalizer
 * anchor/node level:  ``h(s, c) * exp(theta(w)*s - c*M(theta(w))) * |J(w)|``
 * link level:         ``b(s, c) * exp(theta(w)*s - c*M(theta(w)))``
 
+The discrete-link families (``gamma``, ``beta``, ``inverse_beta``) have two
+further ingredients, the log-ratios at successive integer arguments
+``log_h_step(s, c) = log h(s+1, c) - log h(s, c)`` and
+``log_b_step(s, c) = log b(s+1, c) - log b(s, c)``.  Each is a difference of
+plain logs, so a run of link masses is a cumulative sum of them with no
+log-gamma call.
+
 Every family fixes a variance function ``V(mu) = nu0 + nu1*mu + nu2*mu**2``
 that ties conditional link moments to the mean: ``E(S|w) = c*w`` and
 ``Var(S|w) = c*V(w)``.
@@ -104,6 +111,14 @@ class Family:
         raise NotImplementedError
 
     def log_h(self, s, c):
+        raise NotImplementedError
+
+    def log_b_step(self, s, c):
+        """log b(s + 1, c) - log b(s, c); discrete-link families only."""
+        raise NotImplementedError
+
+    def log_h_step(self, s, c):
+        """log h(s + 1, c) - log h(s, c); discrete-link families only."""
         raise NotImplementedError
 
     # -- densities ---------------------------------------------------------
@@ -246,6 +261,12 @@ class GammaFamily(Family):
         s = np.asarray(s, dtype=float)
         return s * np.log(c) - special.gammaln(s)
 
+    def log_b_step(self, s, c):
+        return np.log(c) - np.log(np.asarray(s, dtype=float) + 1.0)
+
+    def log_h_step(self, s, c):
+        return np.log(c) - np.log(s)
+
     def sample_w(self, s, c, rng, size=None):
         return rng.gamma(shape=s, scale=1.0 / np.asarray(c, dtype=float), size=size)
 
@@ -345,6 +366,14 @@ class BetaFamily(Family):
         c = np.asarray(c, dtype=float)
         return special.gammaln(c) - special.gammaln(s) - special.gammaln(c - s)
 
+    def log_b_step(self, s, c):
+        s = np.asarray(s, dtype=float)
+        return np.log(c - s) - np.log(s + 1.0)
+
+    def log_h_step(self, s, c):
+        s = np.asarray(s, dtype=float)
+        return np.log(c - s - 1.0) - np.log(s)
+
     def sample_w(self, s, c, rng, size=None):
         s = np.asarray(s, dtype=float)
         c = np.asarray(c, dtype=float)
@@ -397,6 +426,14 @@ class InverseBetaFamily(Family):
         s = np.asarray(s, dtype=float)
         c = np.asarray(c, dtype=float)
         return special.gammaln(s + c + 1.0) - special.gammaln(s) - special.gammaln(c + 1.0)
+
+    def log_b_step(self, s, c):
+        s = np.asarray(s, dtype=float)
+        return np.log(c + s) - np.log(s + 1.0)
+
+    def log_h_step(self, s, c):
+        s = np.asarray(s, dtype=float)
+        return np.log(s + c + 1.0) - np.log(s)
 
     def sample_w(self, s, c, rng, size=None):
         s = np.asarray(s, dtype=float)

@@ -5,10 +5,17 @@ values and cycles through five blocks in a fixed order: all link values, all
 anchors, every edge intensity, the global concentration c0 and the global
 location s0.  Links and anchors are conditionally independent across
 replicates and are updated as vectors; anchors and the normal-family links
-have exact conjugate draws, discrete links are drawn by (adaptive)
-enumeration, the continuous gamma-type links and all top-level parameters use
-random-walk Metropolis steps on transformed scales with step sizes adapted
-toward a 0.44 acceptance rate during burn-in only.
+have exact conjugate draws, discrete links are drawn by exact enumeration,
+the continuous gamma-type links and all top-level parameters use random-walk
+Metropolis steps on transformed scales with step sizes adapted toward a 0.44
+acceptance rate during burn-in only.
+
+Enumeration builds each replicate's log-mass on a grid anchored at 0 as a
+cumulative sum of the exact log-ratios of successive masses (the families'
+``log_h_step``/``log_b_step``), so no log-gamma is evaluated.  Binomial links
+use the whole support 0..c_jk; Poisson and negative-binomial links start from
+a short grid that doubles until a geometric bound on the cut-off tail falls
+below ``MCMCConfig.enum_tail_tol``, up to ``MCMCConfig.max_enum_states``.
 """
 
 from __future__ import annotations
@@ -400,33 +407,47 @@ def _normal_link_moments(c_jk, cj, ck, excl_j, excl_k, t_sum):
     return mean, 1.0 / np.sqrt(prec)
 
 
-def _enum_link_logmass(fam, values, a_j, a_k, cj, ck, c_jk, t_sum):
-    """Unnormalized log mass of integer link values on a grid.
+def _enum_link_logmass(fam, values, a_j, a_k, cj, ck, c_jk, t_sum, g0=0.0):
+    """Unnormalized log mass of a run of consecutive integer link values.
 
-    ``values`` has shape (m,), the replicate-dependent inputs shape (r,);
-    the result has shape (r, m).
+    ``values`` has shape (m,), the replicate-dependent inputs and ``g0``
+    (the log mass at ``values[0]``) shape (r,) or scalar; the result has
+    shape (r, m).  It is the cumulative sum of the exact log-ratios of
+    successive masses, ``g(s+1) - g(s) = Dlog h(a_j+s, cj) + Dlog h(a_k+s, ck)
+    + Dlog b(s, c_jk) + t_sum``, so no log-gamma is evaluated.
     """
-    s = values[None, :]
-    g = (
-        fam.log_h(a_j[:, None] + s, cj)
-        + fam.log_h(a_k[:, None] + s, ck)
-        + fam.log_b(values, c_jk)[None, :]
-        + t_sum[:, None] * s
+    s = values[None, :-1]
+    g = np.empty((a_j.shape[0], values.shape[0]))
+    g[:, 0] = g0
+    g[:, 1:] = (
+        fam.log_h_step(a_j[:, None] + s, cj)
+        + fam.log_h_step(a_k[:, None] + s, ck)
+        + fam.log_b_step(values[:-1], c_jk)[None, :]
+        + t_sum[:, None]
     )
-    return g
+    return np.cumsum(g, axis=1, out=g)
+
+
+# First grid of an unbounded link conditional: small, so that links near 0
+# (the gamma scenarios' usual case) cost few cells; larger links cost a few
+# extensions of the grid.
+_ENUM_START = 16
 
 
 def _enum_link_grid(fam, a_j, a_k, cj, ck, c_jk, t_sum, tail_tol, cap):
     """Adaptive grid of an unbounded discrete link conditional.
 
-    Grows the grid until, for every replicate, the terms decay past the mode
-    and the geometric tail bound drops below ``tail_tol`` relative to the
-    largest term.
+    The grid is anchored at 0, so no lower tail is ever cut, and starts at
+    ``_ENUM_START`` steps.  It doubles until, for every replicate, the terms
+    decay past the mode and the geometric tail bound (the last term times
+    r / (1 - r), with r the ratio of the last two terms) drops below
+    ``tail_tol`` relative to the largest term.  Each doubling continues the
+    log-ratio recurrence of ``_enum_link_logmass`` from the last value
+    instead of rebuilding the grid.
     """
-    m = 64
+    values = np.arange(0.0, _ENUM_START + 1.0)
+    g = _enum_link_logmass(fam, values, a_j, a_k, cj, ck, c_jk, t_sum)
     while True:
-        values = np.arange(0.0, m + 1.0)
-        g = _enum_link_logmass(fam, values, a_j, a_k, cj, ck, c_jk, t_sum)
         g_max = g.max(axis=1)
         last = g[:, -1]
         prev = g[:, -2]
@@ -435,11 +456,15 @@ def _enum_link_grid(fam, a_j, a_k, cj, ck, c_jk, t_sum, tail_tol, cap):
         bound = np.exp(last - g_max) * ratio / (1.0 - ratio)
         if np.all(decreasing) and np.all(bound < tail_tol):
             return values, g
-        m *= 2
+        m = 2 * (values.shape[0] - 1)
         if m > cap:
             raise EnumerationOverflowError(
                 f"link enumeration exceeded {cap} states before reaching the tail"
             )
+        more = np.arange(values[-1], m + 1.0)
+        g_more = _enum_link_logmass(fam, more, a_j, a_k, cj, ck, c_jk, t_sum, last)
+        values = np.arange(0.0, m + 1.0)
+        g = np.concatenate([g, g_more[:, 1:]], axis=1)
 
 
 def _rows_softmax_sample(g, rng):
@@ -468,45 +493,78 @@ class _SweepKernel:
         self.pairs = self.pre.pairs
 
     # -- block IV: one pair of link values across all replicates -----------
-    def _update_links_pair(self, state: ChainState, j, k, rng, s_star, idx=None):
-        fam = self.fam
-        c_jk = float(state.edges[j, k])
-        if c_jk == 0.0:
-            return
-        sel = slice(None) if idx is None else idx
-        orig = np.array(state.links[sel, j, k], dtype=float)  # snapshot, not a view
-        cur = orig
-        cj = state.c0 + state.edges[:, j].sum()
-        ck = state.c0 + state.edges[:, k].sum()
-        t_sum = (
-            self.pre.theta_y[sel, j]
-            + self.pre.theta_y[sel, k]
-            + np.asarray(fam.theta(state.w[sel]), dtype=float)
-        )
-        a_j = s_star[sel, j] - cur
-        a_k = s_star[sel, k] - cur
+    def _link_block_terms(self, state: ChainState):
+        """Node sums s*, theta(w) and node intensities c* for the links block.
 
-        if fam.kind is FamilyKind.NORMAL:
-            mean, sd = _normal_link_moments(c_jk, cj, ck, a_j, a_k, t_sum)
-            new = rng.normal(mean, sd)
-        elif fam.kind in (FamilyKind.GAMMA, FamilyKind.INVERSE_BETA):
-            values, g = _enum_link_grid(
-                fam, a_j, a_k, cj, ck, c_jk, t_sum,
-                self.config.enum_tail_tol, self.config.max_enum_states,
+        The anchors and the intensities do not change within the block, so
+        theta(w) and c* are computed once; the pair updates keep s* current.
+        """
+        s_star = state.s0 + state.links.sum(axis=2)
+        theta_w = np.asarray(self.fam.theta(state.w), dtype=float)
+        c_node = [state.c0 + state.edges[:, j].sum() for j in range(self.p)]
+        return s_star, theta_w, c_node
+
+    def _pair_terms(self, state: ChainState, j, k, s_star, theta_w, c_node, sel):
+        """Inputs of the link conditionals of pair (j, k) on rows ``sel``.
+
+        Returns the current link values (a copy), the node sums a_j, a_k
+        without them, the node intensities cj, ck and
+        t_sum = theta(y_j) + theta(y_k) + theta(w).
+        """
+        cur = np.array(state.links[sel, j, k], dtype=float)  # snapshot, not a view
+        t_sum = self.pre.theta_y[sel, j] + self.pre.theta_y[sel, k] + theta_w[sel]
+        return cur, s_star[sel, j] - cur, s_star[sel, k] - cur, c_node[j], c_node[k], t_sum
+
+    def _enumerate_links(self, j, k, c_jk, a_j, a_k, cj, ck, t_sum, sel):
+        """Support grid and unnormalized log mass of discrete link conditionals.
+
+        The one enumeration path of the sampler and of
+        ``link_conditional_pmf``: the fixed grid 0..c_jk for binomial links,
+        the adaptive grid otherwise.  Non-finite inputs would never reach a
+        decreasing tail, so they are rejected before any grid is built.
+        """
+        fam = self.fam
+        bad = ~(np.isfinite(a_j) & np.isfinite(a_k) & np.isfinite(t_sum))
+        if np.any(bad):
+            i = int(np.arange(self.n)[sel][np.argmax(bad)])
+            raise DomainError(
+                f"link conditional of replicate {i} on pair ({j + 1}, {k + 1}) has "
+                "non-finite inputs (anchor or node sum out of range)"
             )
-            new = values[_rows_softmax_sample(g, rng)]
-        elif fam.kind is FamilyKind.BETA:
+        if fam.kind is FamilyKind.BETA:
             count = int(round(c_jk))
             if count > self.config.max_enum_states:
                 raise EnumerationOverflowError(
                     f"binomial link enumeration over {count + 1} states exceeds the cap"
                 )
             values = np.arange(0.0, count + 1.0)
-            g = _enum_link_logmass(fam, values, a_j, a_k, cj, ck, c_jk, t_sum)
+            return values, _enum_link_logmass(fam, values, a_j, a_k, cj, ck, c_jk, t_sum)
+        return _enum_link_grid(
+            fam, a_j, a_k, cj, ck, c_jk, t_sum,
+            self.config.enum_tail_tol, self.config.max_enum_states,
+        )
+
+    def _update_links_pair(self, state: ChainState, j, k, rng, s_star, theta_w, c_node,
+                           idx=None):
+        fam = self.fam
+        c_jk = float(state.edges[j, k])
+        if c_jk == 0.0:
+            return
+        sel = slice(None) if idx is None else idx
+        orig, a_j, a_k, cj, ck, t_sum = self._pair_terms(
+            state, j, k, s_star, theta_w, c_node, sel
+        )
+        cur = orig
+
+        if fam.kind is FamilyKind.NORMAL:
+            mean, sd = _normal_link_moments(c_jk, cj, ck, a_j, a_k, t_sum)
+            new = rng.normal(mean, sd)
+        elif fam.discrete_links:
+            values, g = self._enumerate_links(j, k, c_jk, a_j, a_k, cj, ck, t_sum, sel)
             new = values[_rows_softmax_sample(g, rng)]
         elif fam.kind is FamilyKind.INVERSE_GAMMA:
             # log h(s, c) = (c + 1) log s - const, log b(t, c) = (c - 1) log t - const
-            t_y = t_sum - np.asarray(fam.theta(state.w[sel]), dtype=float)
+            t_y = t_sum - theta_w[sel]
             with np.errstate(divide="ignore", invalid="ignore"):
                 # independence refresh: propose from the conditional link prior
                 # Ga(c_jk, scale w); the proposal cancels everything except the
@@ -737,9 +795,9 @@ class _SweepKernel:
     # -- full systematic scan ------------------------------------------------------
     def sweep(self, state: ChainState, rng):
         fam = self.fam
-        s_star = state.s0 + state.links.sum(axis=2)
+        s_star, theta_w, c_node = self._link_block_terms(state)
         for j, k in self.pairs:
-            self._update_links_pair(state, j, k, rng, s_star)
+            self._update_links_pair(state, j, k, rng, s_star, theta_w, c_node)
         self._update_anchors(state, rng, s_star)
 
         m_w_total = float(np.sum(fam.cumulant(state.w)))
@@ -803,8 +861,8 @@ def sample_link_conditional(state: ChainState, data: Dataset, i: int, j: int, k:
     _ensure_steps(state, config)
     if float(state.edges[j, k]) <= 0.0:
         raise DomainError("link conditional requires a positive edge intensity")
-    s_star = state.s0 + state.links.sum(axis=2)
-    kernel._update_links_pair(state, min(j, k), max(j, k), rng, s_star, idx=np.array([i]))
+    kernel._update_links_pair(state, min(j, k), max(j, k), rng,
+                              *kernel._link_block_terms(state), idx=np.array([i]))
     return float(state.links[i, j, k])
 
 
@@ -836,27 +894,12 @@ def link_conditional_pmf(state: ChainState, data: Dataset, i: int, j: int, k: in
     if j > k:
         j, k = k, j
     c_jk = float(state.edges[j, k])
-    s_star = state.s0 + state.links.sum(axis=2)
-    cur = state.links[i, j, k]
-    a_j = np.array([s_star[i, j] - cur])
-    a_k = np.array([s_star[i, k] - cur])
-    cj = state.c0 + state.edges[:, j].sum()
-    ck = state.c0 + state.edges[:, k].sum()
-    t_sum = np.array(
-        [
-            float(fam.theta(data.y[i, j]))
-            + float(fam.theta(data.y[i, k]))
-            + float(fam.theta(state.w[i]))
-        ]
-    )
-    if fam.kind is FamilyKind.BETA:
-        values = np.arange(0.0, int(round(c_jk)) + 1.0)
-        g = _enum_link_logmass(fam, values, a_j, a_k, cj, ck, c_jk, t_sum)
-    else:
-        values, g = _enum_link_grid(
-            fam, a_j, a_k, cj, ck, c_jk, t_sum, config.enum_tail_tol,
-            config.max_enum_states,
-        )
+    if c_jk <= 0.0:
+        raise DomainError("link conditional requires a positive edge intensity")
+    kernel = _SweepKernel(fam, data, PriorConfig.default_for(fam), config)
+    sel = np.array([i])
+    _, *terms = kernel._pair_terms(state, j, k, *kernel._link_block_terms(state), sel)
+    values, g = kernel._enumerate_links(j, k, c_jk, *terms, sel)
     g = g[0]
     g -= g.max()
     probs = np.exp(g)

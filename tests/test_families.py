@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from qvgraph.errors import DomainError
 from qvgraph.families import (
@@ -159,6 +159,24 @@ class TestLogH:
             log_h("beta", 3.0, 2.0)  # needs s < c
         with pytest.raises(DomainError):
             log_h("normal", 0.0, -1.0)
+
+
+class TestLogRatioSteps:
+    @pytest.mark.parametrize("kind", [k for k in ALL_KINDS if get_family(k).discrete_links])
+    def test_steps_match_differences(self, kind):
+        fam = get_family(kind)
+        v = np.concatenate([np.arange(0.0, 60.0), np.round(np.geomspace(60.0, 1e4, 200))])
+        c_link = 1.2e4 if kind is FamilyKind.BETA else 3.0
+        c_node = c_link + 2.1e4 if kind is FamilyKind.BETA else 7.3
+        for fn, step, s, c in (
+            (fam.log_b, fam.log_b_step, v, c_link),
+            (fam.log_h, fam.log_h_step, v + 0.37, c_node),  # non-integer node sum
+        ):
+            diff = fn(s + 1.0, c) - fn(s, c)
+            # the reference subtracts log-gamma values of size up to
+            # gammaln(s + c + 2), so it carries their rounding as well
+            tol = 1e-12 * (np.abs(diff) + special.gammaln(s + c + 2.0))
+            assert np.all(np.abs(step(s, c) - diff) <= tol)
 
 
 class TestLevelDensity:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from qvgraph.errors import ChainError, DomainError
+from qvgraph import inference
+from qvgraph.errors import ChainError, DomainError, EnumerationOverflowError
 from qvgraph.families import FamilyKind, get_family
 from qvgraph.inference import (
     ChainState,
@@ -285,6 +286,62 @@ class TestLinkConditional:
         state.edges[0, 1] = state.edges[1, 0] = 0.0
         with pytest.raises(DomainError):
             sample_link_conditional(state, data, 0, 0, 1, rng)
+
+    def test_zero_anchor_is_rejected_before_any_grid(self, rng, monkeypatch):
+        params, data, state = make_state(FamilyKind.GAMMA, n=1)
+        state.w[0] = 0.0  # theta(0) = log 0: the link mass has no tail
+
+        def no_grid(*args):
+            raise AssertionError("an enumeration grid was built")
+
+        monkeypatch.setattr(inference, "_enum_link_logmass", no_grid)
+        with np.errstate(divide="ignore"), pytest.raises(DomainError, match="replicate 0"):
+            sample_link_conditional(state, data, 0, 0, 1, rng)
+
+    def test_tiny_enumeration_cap_overflows(self, rng):
+        params, data, state = make_state(FamilyKind.GAMMA, n=1)
+        state.w[0] = 1e6  # link mode far past the first grid
+        with pytest.raises(EnumerationOverflowError):
+            sample_link_conditional(state, data, 0, 0, 1, rng, MCMCConfig(max_enum_states=32))
+        assert sample_link_conditional(state, data, 0, 0, 1, rng) > 32.0
+
+
+def _direct_logmass(fam, values, a_j, a_k, cj, ck, c_jk, t_sum):
+    """Reference link log-mass evaluated term by term with log-gamma."""
+    s = values[None, :]
+    return (
+        fam.log_h(a_j[:, None] + s, cj)
+        + fam.log_h(a_k[:, None] + s, ck)
+        + fam.log_b(values, c_jk)[None, :]
+        + t_sum[:, None] * s
+    )
+
+
+@pytest.mark.parametrize("kind", [FamilyKind.GAMMA, FamilyKind.INVERSE_BETA])
+def test_recurrence_grid_matches_direct_evaluation(kind):
+    fam = get_family(kind)
+    gen = np.random.default_rng(11)
+    r = 201
+    a_j = gen.uniform(2.0, 30.0, r) + 0.37  # non-integer node sums
+    a_k = gen.uniform(2.0, 30.0, r) + 0.61
+    cj, ck, c_jk = 13.5, 11.0, 3.0
+    mode = np.repeat([0.3, 50.0, 1000.0], r // 3) + gen.uniform(0.0, 2.0, r)
+    # choose t so that the log-ratio of successive masses vanishes at the mode
+    t_sum = -(
+        fam.log_h_step(a_j + mode, cj)
+        + fam.log_h_step(a_k + mode, ck)
+        + fam.log_b_step(mode, c_jk)
+    )
+    values, g = inference._enum_link_grid(fam, a_j, a_k, cj, ck, c_jk, t_sum, 1e-12, 1_000_000)
+    assert values.size > 16 * 2 ** 5  # the first grid doubled several times
+    wide = np.arange(0.0, 2.0 * values.size)
+    ref = _direct_logmass(fam, wide, a_j, a_k, cj, ck, c_jk, t_sum)
+    ref = np.exp(ref - ref.max(axis=1, keepdims=True))
+    ref /= ref.sum(axis=1, keepdims=True)
+    ours = np.zeros_like(ref)
+    ours[:, : values.size] = np.exp(g - g.max(axis=1, keepdims=True))
+    ours /= ours.sum(axis=1, keepdims=True)
+    assert np.all(0.5 * np.abs(ours - ref).sum(axis=1) <= 1e-10)
 
 
 class TestAnchorConditional:
