@@ -313,37 +313,14 @@ def _cond_c0_core(fam, prior, cand, s0, s_star, edge_rowsum, n, m_total) -> floa
     return h_sum + n * float(fam.log_h(s0, cand)) - cand * m_total + lp
 
 
-def _cond_edge_core(
-    fam, prior, cand, cur, j, k, s_star, c_star, links_jk, m_y_node, m_w_total
-) -> float:
-    lp = prior.log_edge_prior(fam, cand)
-    if not np.isfinite(lp):
-        return _NEG_INF
-    if fam.kind is FamilyKind.BETA and np.any(links_jk > cand):
-        return _NEG_INF
-    cj = c_star[j] - cur + cand
-    ck = c_star[k] - cur + cand
-    h_sum = float(np.sum(fam.log_h(s_star[:, j], cj))) + float(
-        np.sum(fam.log_h(s_star[:, k], ck))
-    )
-    b_sum = float(np.sum(fam.log_b(links_jk, cand)))
-    return h_sum + b_sum - cand * (m_y_node[j] + m_y_node[k] + m_w_total) + lp
-
-
-def _state_sums(state: ChainState):
-    link_rowsum = state.links.sum(axis=2)
-    edge_rowsum = state.edges.sum(axis=1)
-    return link_rowsum, edge_rowsum
-
-
 def log_full_conditional_s0(state: ChainState, data: Dataset, prior: PriorConfig,
                             s0_candidate: float) -> float:
     """Log full conditional of s0 (up to an additive constant); -inf outside
     the admissible region."""
     fam = get_family(state.family)
     pre = _Precomp(fam, data)
-    link_rowsum, edge_rowsum = _state_sums(state)
-    c_star = state.c0 + edge_rowsum
+    link_rowsum = state.links.sum(axis=2)
+    c_star = state.c0 + state.edges.sum(axis=1)
     theta_total = pre.theta_y_total + float(np.sum(fam.theta(state.w)))
     return _cond_s0_core(
         fam, prior, float(s0_candidate), state.c0, c_star, link_rowsum, pre.n, theta_total
@@ -356,8 +333,8 @@ def log_full_conditional_c0(state: ChainState, data: Dataset, prior: PriorConfig
     candidates not exceeding s0 in the beta family)."""
     fam = get_family(state.family)
     pre = _Precomp(fam, data)
-    link_rowsum, edge_rowsum = _state_sums(state)
-    s_star = state.s0 + link_rowsum
+    edge_rowsum = state.edges.sum(axis=1)
+    s_star = state.s0 + state.links.sum(axis=2)
     m_total = pre.m_y_total + float(np.sum(fam.cumulant(state.w)))
     return _cond_c0_core(
         fam, prior, float(c0_candidate), state.s0, s_star, edge_rowsum, pre.n, m_total
@@ -366,39 +343,27 @@ def log_full_conditional_c0(state: ChainState, data: Dataset, prior: PriorConfig
 
 def log_full_conditional_cjk(state: ChainState, data: Dataset, prior: PriorConfig,
                              j: int, k: int, c_candidate: float) -> float:
-    """Log full conditional of the edge intensity between nodes j and k."""
+    """Log full conditional of the edge intensity between nodes j and k, up to
+    an additive constant: the sampler's log-ratio of the candidate against the
+    current intensity, links held fixed; -inf outside the support."""
     if j == k:
         raise IndexError("edge conditional requires two distinct nodes")
-    if j > k:
-        j, k = k, j
-    fam = get_family(state.family)
-    pre = _Precomp(fam, data)
-    link_rowsum, edge_rowsum = _state_sums(state)
-    s_star = state.s0 + link_rowsum
-    c_star = state.c0 + edge_rowsum
-    m_w_total = float(np.sum(fam.cumulant(state.w)))
-    return _cond_edge_core(
-        fam,
-        prior,
-        float(c_candidate),
-        float(state.edges[j, k]),
-        j,
-        k,
-        s_star,
-        c_star,
-        state.links[:, j, k],
-        pre.m_y_node,
-        m_w_total,
-    )
+    j, k = min(j, k), max(j, k)
+    kernel = _SweepKernel(get_family(state.family), data, prior, MCMCConfig())
+    s_star = state.s0 + state.links.sum(axis=2)
+    c_star = state.c0 + state.edges.sum(axis=1)
+    return kernel._pair_log_ratio(state, j, k, s_star, c_star, float(c_candidate),
+                                  state.links[:, j, k], kernel._w_terms(state))
 
 
 # ---------------------------------------------------------------------------
 # Link-value conditionals (block IV)
 # ---------------------------------------------------------------------------
 
-def _normal_link_moments(c_jk, cj, ck, excl_j, excl_k, t_sum):
+def _normal_link_moments(c_jk, excl_j, excl_k, cj, ck, t_sum):
     """Completed-square mean and standard deviation of a normal link value.
 
+    Takes the inputs in the order ``_SweepKernel._pair_terms`` returns them:
     ``excl_j``/``excl_k`` are the node sums s* with the current link value
     removed; ``t_sum`` is theta(y_j) + theta(y_k) + theta(w).
     """
@@ -485,6 +450,7 @@ class _SweepKernel:
             raise DomainError("posterior inference is not available for the gsst family")
         prior.validate_for(fam)
         self.fam = fam
+        self.data = data
         self.prior = prior
         self.config = config
         self.pre = _Precomp(fam, data)
@@ -557,7 +523,7 @@ class _SweepKernel:
         cur = orig
 
         if fam.kind is FamilyKind.NORMAL:
-            mean, sd = _normal_link_moments(c_jk, cj, ck, a_j, a_k, t_sum)
+            mean, sd = _normal_link_moments(c_jk, a_j, a_k, cj, ck, t_sum)
             new = rng.normal(mean, sd)
         elif fam.discrete_links:
             values, g = self._enumerate_links(j, k, c_jk, a_j, a_k, cj, ck, t_sum, sel)
@@ -603,46 +569,89 @@ class _SweepKernel:
         s_star[sel, k] += delta_s
 
     # -- block V: anchors ----------------------------------------------------
-    def _update_anchors(self, state: ChainState, rng, s_star):
-        tri = np.triu_indices(self.p, k=1)
-        s_i = state.s0 + state.links[:, tri[0], tri[1]].sum(axis=1)
-        c_i = state.c0 + float(state.edges[tri].sum())
-        state.w = np.asarray(self.fam.sample_w(s_i, c_i, rng), dtype=float)
+    def _update_anchors(self, state: ChainState, rng):
+        state.w = np.asarray(self.fam.sample_w(*_anchor_params(state), rng), dtype=float)
 
-    # -- block III: edge intensities ------------------------------------------
-    def _update_edge(self, state: ChainState, j, k, rng, s_star, c_star, m_w_total):
+    # -- block III: edge intensities and their links ----------------------------
+    def _w_terms(self, state: ChainState):
+        """theta(w) and sum M(w), the anchor terms of the link level.
+
+        The anchors do not change within the edge block, so the sweep
+        computes them once for all its edge moves.
+        """
         fam = self.fam
-        cur = float(state.edges[j, k])
+        return np.asarray(fam.theta(state.w), dtype=float), float(np.sum(fam.cumulant(state.w)))
+
+    def _pair_log_ratio(self, state: ChainState, j, k, s_star, c_star, new_c, new_s,
+                        w_terms=None) -> float:
+        """Log target ratio of moving edge (j, k) and its links to (new_c, new_s).
+
+        Such a move changes only the node levels j and k, the pair's link
+        level and its edge prior.  Each node adds
+        sum_i [log h(s*', c*') - log h(s*, c*)] + theta(y)·dS - dc·sum M(y),
+        where the Jacobian cancels and theta(y), M(y) come from ``_Precomp``.
+        With ``w_terms = (theta(w), sum M(w))`` the link level adds
+        sum_i [log b(S', c') - log b(S, c)] + theta(w)·dS - dc·sum M(w);
+        without it the link level is left out, as for a move that draws the
+        links from that level.  -inf for a candidate outside the support.
+        """
+        fam, pre = self.fam, self.pre
+        lp_new = self.prior.log_edge_prior(fam, new_c)
+        if not math.isfinite(lp_new) or (
+            fam.kind is FamilyKind.BETA and np.any(new_s > new_c)
+        ):
+            return _NEG_INF
+        cur_c = float(state.edges[j, k])
+        cur_s = state.links[:, j, k]
+        d_c = new_c - cur_c
+        d_s = new_s - cur_s
+        total = lp_new - self.prior.log_edge_prior(fam, cur_c)
+        for node in (j, k):
+            s, c = s_star[:, node], c_star[node]
+            total += (
+                float(np.sum(fam.log_h(s + d_s, c + d_c))) - float(np.sum(fam.log_h(s, c)))
+                + float(pre.theta_y[:, node] @ d_s) - d_c * pre.m_y_node[node]
+            )
+        if w_terms is not None:
+            theta_w, m_w_total = w_terms
+            total += (
+                float(np.sum(fam.log_b(new_s, new_c))) - float(np.sum(fam.log_b(cur_s, cur_c)))
+                + float(theta_w @ d_s) - d_c * m_w_total
+            )
+        return total
+
+    def _commit_pair(self, state: ChainState, j, k, s_star, c_star, new_c, new_s):
+        """Write edge (j, k) and its links with their mirrors; keep s*, c* current."""
+        d_s = new_s - state.links[:, j, k]
+        d_c = new_c - float(state.edges[j, k])
+        state.edges[j, k] = state.edges[k, j] = new_c
+        state.links[:, j, k] = state.links[:, k, j] = new_s
+        s_star[:, j] += d_s
+        s_star[:, k] += d_s
+        c_star[j] += d_c
+        c_star[k] += d_c
+
+    def _propose_intensity(self, state: ChainState, name, cur, rng):
+        """Random-walk proposal for an edge intensity and its log Jacobian:
+        a step of +-1 for integer intensities, a log-scale step otherwise."""
+        if self.fam.integer_intensity:
+            return cur + (1.0 if rng.random() < 0.5 else -1.0), 0.0
+        prop = cur * math.exp(rng.normal(0.0, state.step_sizes[name]))
+        return prop, math.log(prop) - math.log(cur)
+
+    def _update_edge(self, state: ChainState, j, k, rng, s_star, c_star, w_terms):
+        # Random walk on the intensity alone; the links are held fixed.
         name = f"edge_{j + 1}_{k + 1}"
         counter = state.counter(name)
-        links_jk = state.links[:, j, k]
-        args = (s_star, c_star, links_jk, self.pre.m_y_node, m_w_total)
-
-        if fam.integer_intensity:
-            prop = cur + (1.0 if rng.random() < 0.5 else -1.0)
-            counter[1] += 1
-            lo = _cond_edge_core(fam, self.prior, prop, cur, j, k, *args)
-            if lo == _NEG_INF:
-                return
-            lc = _cond_edge_core(fam, self.prior, cur, cur, j, k, *args)
-            if math.log(rng.random()) < lo - lc:
-                counter[0] += 1
-                state.edges[j, k] = state.edges[k, j] = prop
-                c_star[j] += prop - cur
-                c_star[k] += prop - cur
-        else:
-            step = state.step_sizes[name]
-            prop = cur * math.exp(rng.normal(0.0, step))
-            counter[1] += 1
-            lo = _cond_edge_core(fam, self.prior, prop, cur, j, k, *args)
-            if lo == _NEG_INF:
-                return
-            lc = _cond_edge_core(fam, self.prior, cur, cur, j, k, *args)
-            if math.log(rng.random()) < lo - lc + math.log(prop) - math.log(cur):
-                counter[0] += 1
-                state.edges[j, k] = state.edges[k, j] = prop
-                c_star[j] += prop - cur
-                c_star[k] += prop - cur
+        new_c, jac = self._propose_intensity(state, name, float(state.edges[j, k]), rng)
+        counter[1] += 1
+        links = state.links[:, j, k]
+        ratio = self._pair_log_ratio(state, j, k, s_star, c_star, new_c, links, w_terms)
+        if ratio == _NEG_INF:
+            return
+        if math.log(rng.random()) < ratio + jac:
+            counter[0] += 1
+            self._commit_pair(state, j, k, s_star, c_star, new_c, links)
 
     # -- block refresh of one edge intensity and its link values ----------------
     def _update_edge_refresh(self, state: ChainState, j, k, rng, s_star, c_star):
@@ -652,95 +661,39 @@ class _SweepKernel:
         # terms alone.  This decouples the intensity from the tight
         # information its current links carry about it.
         fam = self.fam
-        cur_c = float(state.edges[j, k])
         name = f"refresh_{j + 1}_{k + 1}"
         counter = state.counter(name)
-        if fam.integer_intensity:
-            new_c = cur_c + (1.0 if rng.random() < 0.5 else -1.0)
-            jac = 0.0
-        else:
-            step = state.step_sizes[name]
-            new_c = cur_c * math.exp(rng.normal(0.0, step))
-            jac = math.log(new_c) - math.log(cur_c)
+        new_c, jac = self._propose_intensity(state, name, float(state.edges[j, k]), rng)
         counter[1] += 1
-        lp_new = self.prior.log_edge_prior(fam, new_c)
-        if not np.isfinite(lp_new) or new_c <= 0.0:
-            return
-        cur_s = np.array(state.links[:, j, k], dtype=float)
+        if not math.isfinite(self.prior.log_edge_prior(fam, new_c)):
+            return  # checked before the links are drawn, which uses the rng
         new_s = np.asarray(fam.sample_link(state.w, new_c, rng), dtype=float)
         if fam.kind is FamilyKind.INVERSE_GAMMA and not np.all(new_s > 0.0):
             return  # gamma draws can underflow at tiny intensities
-        a_j = s_star[:, j] - cur_s
-        a_k = s_star[:, k] - cur_s
-        cj_base = c_star[j] - cur_c
-        ck_base = c_star[k] - cur_c
-        y = self.pre.y
         with np.errstate(divide="ignore", invalid="ignore"):
-            delta = (
-                float(np.sum(fam.log_w_density(y[:, j], a_j + new_s, cj_base + new_c)))
-                - float(np.sum(fam.log_w_density(y[:, j], a_j + cur_s, cj_base + cur_c)))
-                + float(np.sum(fam.log_w_density(y[:, k], a_k + new_s, ck_base + new_c)))
-                - float(np.sum(fam.log_w_density(y[:, k], a_k + cur_s, ck_base + cur_c)))
-                + lp_new
-                - self.prior.log_edge_prior(fam, cur_c)
-                + jac
-            )
+            delta = self._pair_log_ratio(state, j, k, s_star, c_star, new_c, new_s) + jac
         if math.isfinite(delta) and math.log(rng.random()) < delta:
             counter[0] += 1
-            state.edges[j, k] = state.edges[k, j] = new_c
-            state.links[:, j, k] = new_s
-            state.links[:, k, j] = new_s
-            s_star[:, j] = a_j + new_s
-            s_star[:, k] = a_k + new_s
-            c_star[j] = cj_base + new_c
-            c_star[k] = ck_base + new_c
+            self._commit_pair(state, j, k, s_star, c_star, new_c, new_s)
 
     # -- joint rescale of one edge intensity and its link values ---------------
-    def _update_edge_scale(self, state: ChainState, j, k, rng, s_star, c_star):
+    def _update_edge_scale(self, state: ChainState, j, k, rng, s_star, c_star, w_terms):
         # Deterministic scaling move (c, S_1..S_n) -> e^eps * (c, S_1..S_n);
         # breaks the ridge between an intensity and its links.  Only applies
         # to continuous-link families.
-        fam = self.fam
-        cur_c = float(state.edges[j, k])
         name = f"scale_{j + 1}_{k + 1}"
         counter = state.counter(name)
-        step = state.step_sizes[name]
-        eps = rng.normal(0.0, step)
+        eps = rng.normal(0.0, state.step_sizes[name])
         factor = math.exp(eps)
-        cur_s = state.links[:, j, k]
-        new_c = cur_c * factor
-        new_s = cur_s * factor
-
-        lp_new = self.prior.log_edge_prior(fam, new_c)
+        new_c = float(state.edges[j, k]) * factor
+        new_s = state.links[:, j, k] * factor
         counter[1] += 1
-        if not np.isfinite(lp_new) or new_c <= 0.0:
+        ratio = self._pair_log_ratio(state, j, k, s_star, c_star, new_c, new_s, w_terms)
+        if ratio == _NEG_INF:
             return
-        a_j = s_star[:, j] - cur_s
-        a_k = s_star[:, k] - cur_s
-        cj_base = c_star[j] - cur_c
-        ck_base = c_star[k] - cur_c
-        y = self.pre.y
-        w = state.w
-        delta = (
-            float(np.sum(fam.log_link_density(new_s, w, new_c)))
-            - float(np.sum(fam.log_link_density(cur_s, w, cur_c)))
-            + float(np.sum(fam.log_w_density(y[:, j], a_j + new_s, cj_base + new_c)))
-            - float(np.sum(fam.log_w_density(y[:, j], a_j + cur_s, cj_base + cur_c)))
-            + float(np.sum(fam.log_w_density(y[:, k], a_k + new_s, ck_base + new_c)))
-            - float(np.sum(fam.log_w_density(y[:, k], a_k + cur_s, ck_base + cur_c)))
-            + lp_new
-            - self.prior.log_edge_prior(fam, cur_c)
-            + (self.n + 1.0) * eps
-        )
-        if math.log(rng.random()) < delta:
+        if math.log(rng.random()) < ratio + (self.n + 1.0) * eps:
             counter[0] += 1
-            state.edges[j, k] = state.edges[k, j] = new_c
-            state.links[:, j, k] = new_s
-            state.links[:, k, j] = new_s
-            s_star[:, j] = a_j + new_s
-            s_star[:, k] = a_k + new_s
-            c_star[j] = cj_base + new_c
-            c_star[k] = ck_base + new_c
+            self._commit_pair(state, j, k, s_star, c_star, new_c, new_s)
 
     # -- block II: c0 ----------------------------------------------------------
     def _update_c0(self, state: ChainState, rng, s_star, edge_rowsum, m_w_total):
@@ -798,35 +751,31 @@ class _SweepKernel:
         s_star, theta_w, c_node = self._link_block_terms(state)
         for j, k in self.pairs:
             self._update_links_pair(state, j, k, rng, s_star, theta_w, c_node)
-        self._update_anchors(state, rng, s_star)
+        self._update_anchors(state, rng)
 
-        m_w_total = float(np.sum(fam.cumulant(state.w)))
-        edge_rowsum = state.edges.sum(axis=1)
-        c_star = state.c0 + edge_rowsum
+        w_terms = self._w_terms(state)
+        c_star = state.c0 + state.edges.sum(axis=1)
         scaling = not fam.discrete_links
         for j, k in self.pairs:
             for _ in range(self.config.edge_moves):
-                self._update_edge(state, j, k, rng, s_star, c_star, m_w_total)
+                self._update_edge(state, j, k, rng, s_star, c_star, w_terms)
                 if scaling:
-                    self._update_edge_scale(state, j, k, rng, s_star, c_star)
+                    self._update_edge_scale(state, j, k, rng, s_star, c_star, w_terms)
                 self._update_edge_refresh(state, j, k, rng, s_star, c_star)
 
+        theta_w, m_w_total = w_terms
         edge_rowsum = state.edges.sum(axis=1)
         self._update_c0(state, rng, s_star, edge_rowsum, m_w_total)
 
         c_star = state.c0 + edge_rowsum
         link_rowsum = s_star - state.s0
-        theta_w_total = float(np.sum(fam.theta(state.w)))
-        self._update_s0(state, rng, link_rowsum, c_star, theta_w_total)
+        self._update_s0(state, rng, link_rowsum, c_star, float(np.sum(theta_w)))
 
         state.log_posterior = self.log_posterior(state)
         return state
 
     def log_posterior(self, state: ChainState) -> float:
-        lik = log_joint_likelihood_arrays(
-            self.fam, self.pre.y, state.w, state.links, state.s0, state.c0, state.edges
-        )
-        return lik + self.prior.log_prior(self.fam, state.s0, state.c0, state.edges)
+        return log_posterior(state, self.data, self.prior)  # the module-level function
 
 
 # ---------------------------------------------------------------------------
@@ -866,16 +815,21 @@ def sample_link_conditional(state: ChainState, data: Dataset, i: int, j: int, k:
     return float(state.links[i, j, k])
 
 
+def _anchor_params(state: ChainState):
+    """Parameters of the anchors' conjugate conditionals: s0 plus each
+    replicate's link total, and c0 plus the edge total."""
+    tri = np.triu_indices(state.edges.shape[0], k=1)
+    s_i = state.s0 + state.links[:, tri[0], tri[1]].sum(axis=1)
+    return s_i, state.c0 + float(state.edges[tri].sum())
+
+
 def sample_w_conditional(state: ChainState, data: Dataset, i: int, rng) -> float:
     """Exact conjugate draw of the anchor of replicate i given the rest."""
     fam = get_family(state.family)
     if fam.kind is FamilyKind.GSST:
         raise DomainError("posterior inference is not available for the gsst family")
-    p = state.edges.shape[0]
-    tri = np.triu_indices(p, k=1)
-    s_i = state.s0 + float(state.links[i][tri].sum())
-    c_i = state.c0 + float(state.edges[tri].sum())
-    value = float(fam.sample_w(s_i, c_i, rng))
+    s_i, c_i = _anchor_params(state)
+    value = float(fam.sample_w(float(s_i[i]), c_i, rng))
     state.w[i] = value
     return value
 
@@ -908,22 +862,16 @@ def link_conditional_pmf(state: ChainState, data: Dataset, i: int, j: int, k: in
 
 
 def link_conditional_normal_coeffs(state: ChainState, data: Dataset, i: int, j: int, k: int):
-    """Completed-square (mean, sd) of a normal-family link conditional."""
+    """Completed-square (mean, sd) of a normal-family link conditional, from
+    the sampler's own inputs."""
     fam = get_family(state.family)
     if fam.kind is not FamilyKind.NORMAL:
         raise DomainError("completed-square coefficients exist for the normal family only")
-    if j > k:
-        j, k = k, j
-    c_jk = float(state.edges[j, k])
-    s_star = state.s0 + state.links.sum(axis=2)
-    cur = state.links[i, j, k]
-    cj = state.c0 + state.edges[:, j].sum()
-    ck = state.c0 + state.edges[:, k].sum()
-    t_sum = data.y[i, j] + data.y[i, k] + state.w[i]
-    mean, sd = _normal_link_moments(
-        c_jk, cj, ck, s_star[i, j] - cur, s_star[i, k] - cur, np.asarray(t_sum)
-    )
-    return float(mean), float(sd)
+    j, k = min(j, k), max(j, k)
+    kernel = _SweepKernel(fam, data, PriorConfig.default_for(fam), MCMCConfig())
+    _, *terms = kernel._pair_terms(state, j, k, *kernel._link_block_terms(state), np.array([i]))
+    mean, sd = _normal_link_moments(float(state.edges[j, k]), *terms)
+    return float(mean[0]), float(sd)
 
 
 def gibbs_sweep(state: ChainState, data: Dataset, prior: PriorConfig,

@@ -15,13 +15,10 @@ import numpy as np
 from .errors import DataFormatError, DomainError, ManifestError
 from .families import FamilyKind, get_family
 from .inference import (
-    GammaS0Prior,
     MCMCConfig,
-    NormalS0Prior,
     PosteriorSamples,
     PriorConfig,
     StepSizes,
-    UniformOnC0S0Prior,
 )
 from .model import Dataset
 
@@ -415,13 +412,10 @@ class RunConfig:
         setattr(self, key, parsed)
 
     def prior_config(self) -> PriorConfig:
-        kind = get_family(self.family).kind
-        if kind in (FamilyKind.NORMAL, FamilyKind.GSST):
-            s0_prior = NormalS0Prior(self.mu_s, self.tau_s)
-        elif kind is FamilyKind.BETA:
-            s0_prior = UniformOnC0S0Prior()
-        else:
-            s0_prior = GammaS0Prior(self.a_s, self.b_s)
+        # The family's s0 prior form; each of its constants is the field
+        # named after it with an "_s" suffix (mu_s, tau_s, a_s, b_s).
+        form = type(PriorConfig.default_for(self.family).s0_prior)
+        s0_prior = form(**{f.name: getattr(self, f"{f.name}_s") for f in dataclasses.fields(form)})
         return PriorConfig(a0=self.a0, b0=self.b0, d0=self.d0, ac=self.ac, bc=self.bc,
                            s0_prior=s0_prior)
 

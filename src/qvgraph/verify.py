@@ -43,6 +43,7 @@ __all__ = [
     "density_normalization_check",
     "default_check_suite",
     "scipy_log_joint",
+    "scipy_link_logpdf",
 ]
 
 
@@ -142,6 +143,22 @@ def mc_correlation_check(params: ModelParams, replicates: int, rng) -> list[Orac
 # Independent joint density through scipy.stats
 # ---------------------------------------------------------------------------
 
+def scipy_link_logpdf(family, s, w, c):
+    """Link log density (or mass) of s given anchor w and intensity c, via scipy.stats."""
+    kind = get_family(family).kind
+    if kind is FamilyKind.NORMAL:
+        return stats.norm.logpdf(s, c * w, c**0.5)
+    if kind is FamilyKind.GAMMA:
+        return stats.poisson.logpmf(np.round(s).astype(int), c * w)
+    if kind is FamilyKind.INVERSE_GAMMA:
+        return stats.gamma.logpdf(s, c, scale=w)
+    if kind is FamilyKind.BETA:
+        return stats.binom.logpmf(np.round(s).astype(int), int(round(c)), w)
+    if kind is FamilyKind.INVERSE_BETA:
+        return stats.nbinom.logpmf(np.round(s).astype(int), c, 1.0 / (w + 1.0))
+    raise DomainError(f"no scipy joint for family {kind.value}")
+
+
 def scipy_log_joint(family, y, w, links, s0, c0, edges, prior: PriorConfig) -> float:
     """Joint log density of data, latents, and parameters via scipy.stats.
 
@@ -166,23 +183,10 @@ def scipy_log_joint(family, y, w, links, s0, c0, edges, prior: PriorConfig) -> f
             return stats.betaprime.logpdf(x, s, c + 1.0)
         raise DomainError(f"no scipy joint for family {kind.value}")
 
-    def link_logpdf(s, wv, c):
-        if kind is FamilyKind.NORMAL:
-            return stats.norm.logpdf(s, c * wv, c**0.5)
-        if kind is FamilyKind.GAMMA:
-            return stats.poisson.logpmf(np.round(s).astype(int), c * wv)
-        if kind is FamilyKind.INVERSE_GAMMA:
-            return stats.gamma.logpdf(s, c, scale=wv)
-        if kind is FamilyKind.BETA:
-            return stats.binom.logpmf(np.round(s).astype(int), int(round(c)), wv)
-        if kind is FamilyKind.INVERSE_BETA:
-            return stats.nbinom.logpmf(np.round(s).astype(int), c, 1.0 / (wv + 1.0))
-        raise DomainError(f"no scipy joint for family {kind.value}")
-
     total += float(np.sum(level_logpdf(w, s0, c0)))
     for j in range(p):
         for k in range(j + 1, p):
-            total += float(np.sum(link_logpdf(links[:, j, k], w, edges[j, k])))
+            total += float(np.sum(scipy_link_logpdf(kind, links[:, j, k], w, edges[j, k])))
     s_star = s0 + links.sum(axis=2)
     c_star = c0 + edges.sum(axis=1)
     for j in range(p):

@@ -31,7 +31,7 @@ from qvgraph.inference import (
     summarize,
 )
 from qvgraph.model import Dataset, ModelParams, simulate
-from qvgraph.verify import scipy_log_joint
+from qvgraph.verify import scipy_link_logpdf, scipy_log_joint
 
 from conftest import ks_statistic, ks_threshold
 
@@ -193,6 +193,81 @@ class TestFullConditionalsAgainstJoint:
         params, data, state = make_state(FamilyKind.GAMMA)
         prior = PriorConfig.default_for(FamilyKind.GAMMA)
         assert log_full_conditional_c0(state, data, prior, 0.0) == float("-inf")
+
+
+CONTINUOUS_LINK_KINDS = [k for k in INFERENCE_KINDS if not get_family(k).discrete_links]
+
+
+class TestEdgeMoveRatios:
+    """The one pair log-ratio of the three edge moves against the scipy joint."""
+
+    def setup_move(self, kind):
+        params, data, state = make_state(kind)
+        prior = PriorConfig.default_for(kind)
+        kernel = inference._SweepKernel(get_family(kind), data, prior, MCMCConfig())
+        s_star = state.s0 + state.links.sum(axis=2)
+        c_star = state.c0 + state.edges.sum(axis=1)
+        return data, state, prior, kernel, s_star, c_star
+
+    def joint_change(self, kind, data, state, prior, new_c, new_s):
+        edges, links = state.edges.copy(), state.links.copy()
+        edges[0, 1] = edges[1, 0] = new_c
+        links[:, 0, 1] = links[:, 1, 0] = new_s
+        return (
+            scipy_log_joint(kind, data.y, state.w, links, state.s0, state.c0, edges, prior)
+            - scipy_log_joint(kind, data.y, state.w, state.links, state.s0, state.c0,
+                              state.edges, prior)
+        )
+
+    @pytest.mark.parametrize("kind, move", [(k, "random_walk") for k in INFERENCE_KINDS]
+                             + [(k, "scale") for k in CONTINUOUS_LINK_KINDS])
+    def test_moves_with_the_link_level(self, kind, move):
+        data, state, prior, kernel, s_star, c_star = self.setup_move(kind)
+        cur_c, cur_s = float(state.edges[0, 1]), state.links[:, 0, 1].copy()
+        if move == "scale":
+            new_c, new_s = 1.4 * cur_c, 1.4 * cur_s
+        else:  # links held fixed
+            new_c = cur_c + 1.0 if get_family(kind).integer_intensity else 1.3 * cur_c
+            new_s = cur_s
+        ratio = kernel._pair_log_ratio(state, 0, 1, s_star, c_star, new_c, new_s,
+                                       kernel._w_terms(state))
+        expected = self.joint_change(kind, data, state, prior, new_c, new_s)
+        assert ratio == pytest.approx(expected, abs=1e-8)
+
+    @pytest.mark.parametrize("kind", INFERENCE_KINDS)
+    def test_refresh_leaves_out_the_link_level(self, kind):
+        data, state, prior, kernel, s_star, c_star = self.setup_move(kind)
+        fam = get_family(kind)
+        cur_c = float(state.edges[0, 1])
+        new_c = cur_c + 1.0 if fam.integer_intensity else 0.8 * cur_c
+        new_s = np.asarray(fam.sample_link(state.w, new_c, np.random.default_rng(11)),
+                           dtype=float)
+        ratio = kernel._pair_log_ratio(state, 0, 1, s_star, c_star, new_c, new_s)
+        link_level = (
+            float(np.sum(scipy_link_logpdf(kind, new_s, state.w, new_c)))
+            - float(np.sum(scipy_link_logpdf(kind, state.links[:, 0, 1], state.w, cur_c)))
+        )
+        expected = self.joint_change(kind, data, state, prior, new_c, new_s) - link_level
+        assert ratio == pytest.approx(expected, abs=1e-8)
+
+    def test_binomial_link_above_candidate_is_outside_support(self):
+        data, state, prior, kernel, s_star, c_star = self.setup_move(FamilyKind.BETA)
+        new_s = np.full(data.n, 2.0)
+        assert kernel._pair_log_ratio(state, 0, 1, s_star, c_star, 1.0, new_s) == float("-inf")
+
+    @pytest.mark.parametrize("kind", INFERENCE_KINDS)
+    def test_commit_keeps_mirrors_and_node_sums(self, kind):
+        data, state, prior, kernel, s_star, c_star = self.setup_move(kind)
+        fam = get_family(kind)
+        new_c = float(state.edges[0, 1]) + 1.0
+        new_s = np.asarray(fam.sample_link(state.w, new_c, np.random.default_rng(3)),
+                           dtype=float)
+        kernel._commit_pair(state, 0, 1, s_star, c_star, new_c, new_s)
+        assert state.edges[0, 1] == state.edges[1, 0] == new_c
+        assert np.array_equal(state.links[:, 0, 1], new_s)
+        assert np.array_equal(state.links[:, 1, 0], new_s)
+        assert np.allclose(s_star, state.s0 + state.links.sum(axis=2), rtol=0, atol=1e-12)
+        assert np.allclose(c_star, state.c0 + state.edges.sum(axis=1), rtol=0, atol=1e-12)
 
 
 class TestLinkConditional:

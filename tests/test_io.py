@@ -11,7 +11,14 @@ from qvgraph.errors import (
     SupportViolationError,
 )
 from qvgraph.families import FamilyKind
-from qvgraph.inference import MCMCConfig, PriorConfig, run_chains
+from qvgraph.inference import (
+    GammaS0Prior,
+    MCMCConfig,
+    NormalS0Prior,
+    PriorConfig,
+    UniformOnC0S0Prior,
+    run_chains,
+)
 from qvgraph.io import (
     RunConfig,
     export_network,
@@ -240,3 +247,15 @@ class TestRunConfig:
         prior.validate_for("beta")
         mcmc = config.mcmc_config()
         assert mcmc.retained_per_chain == 45
+
+    @pytest.mark.parametrize("family", [k.value for k in FamilyKind])
+    def test_prior_config_takes_the_family_form(self, family):
+        config = RunConfig(family=family, mu_s=0.5, tau_s=0.2, a_s=2.0, b_s=3.0)
+        prior = config.prior_config()
+        prior.validate_for(family)
+        expected = {
+            NormalS0Prior: NormalS0Prior(mu=0.5, tau=0.2),
+            GammaS0Prior: GammaS0Prior(a=2.0, b=3.0),
+            UniformOnC0S0Prior: UniformOnC0S0Prior(),
+        }
+        assert prior.s0_prior == expected[type(prior.s0_prior)]
