@@ -16,6 +16,11 @@ cumulative sum of the exact log-ratios of successive masses (the families'
 use the whole support 0..c_jk; Poisson and negative-binomial links start from
 a short grid that doubles until a geometric bound on the cut-off tail falls
 below ``MCMCConfig.enum_tail_tol``, up to ``MCMCConfig.max_enum_states``.
+
+The edge moves evaluate only their candidate.  After the anchors the sweep
+computes, for the current state, each node's sum of log h, each pair's sum of
+log b and each edge-prior term once; an accepted move stores its candidate's
+sums in their place, so the current side of a ratio is never recomputed.
 """
 
 from __future__ import annotations
@@ -352,8 +357,8 @@ def log_full_conditional_cjk(state: ChainState, data: Dataset, prior: PriorConfi
     kernel = _SweepKernel(get_family(state.family), data, prior, MCMCConfig())
     s_star = state.s0 + state.links.sum(axis=2)
     c_star = state.c0 + state.edges.sum(axis=1)
-    return kernel._pair_log_ratio(state, j, k, s_star, c_star, float(c_candidate),
-                                  state.links[:, j, k], kernel._w_terms(state))
+    return kernel._pair_log_ratio(state, j, k, s_star, c_star, float(c_candidate), None,
+                                  kernel._w_terms(state))
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +445,23 @@ def _rows_softmax_sample(g, rng):
     u = rng.random(g.shape[0])
     idx = (u[:, None] > cum).sum(axis=1)
     return np.minimum(idx, g.shape[1] - 1)
+
+
+@dataclass(slots=True)
+class _EdgeTerms:
+    """What the edge moves read of the current state besides s* and c*.
+
+    theta(w) and sum M(w) are fixed in the edge block.  ``h_node[j]`` is
+    sum_i log h(s*_ij, c*_j), ``b_pair[j, k]`` is sum_i log b(S_ijk, c_jk) and
+    ``lp_pair[j, k]`` the log edge prior of c_jk: the current side of every
+    move's ratio, which changes only when a move is accepted.
+    """
+
+    theta_w: np.ndarray
+    m_w_total: float
+    h_node: list
+    b_pair: dict
+    lp_pair: dict
 
 
 class _SweepKernel:
@@ -536,23 +558,28 @@ class _SweepKernel:
                 # Ga(c_jk, scale w); the proposal cancels everything except the
                 # two level-normalizer factors and the observation tilt
                 prop = rng.gamma(shape=c_jk, scale=state.w[sel])
+                log_j_prop, log_j_cur = np.log(a_j + prop), np.log(a_j + cur)
+                log_k_prop, log_k_cur = np.log(a_k + prop), np.log(a_k + cur)
                 delta = (
-                    (cj + 1.0) * (np.log(a_j + prop) - np.log(a_j + cur))
-                    + (ck + 1.0) * (np.log(a_k + prop) - np.log(a_k + cur))
+                    (cj + 1.0) * (log_j_prop - log_j_cur)
+                    + (ck + 1.0) * (log_k_prop - log_k_cur)
                     + (prop - cur) * t_y
                 )
                 accept = (np.log(rng.random(cur.shape[0])) < delta) & (prop > 0.0)
                 cur = np.where(accept, prop, cur)
+                log_j_cur = np.where(accept, log_j_prop, log_j_cur)  # log(a_j + cur)
+                log_k_cur = np.where(accept, log_k_prop, log_k_cur)
                 # local log-scale random walk
                 step = state.step_sizes[f"link_{j + 1}_{k + 1}"]
                 eps = rng.normal(0.0, step, size=cur.shape)
                 prop = cur * np.exp(eps)
+                log_ratio = np.log(prop) - np.log(cur)
                 delta = (
-                    (cj + 1.0) * (np.log(a_j + prop) - np.log(a_j + cur))
-                    + (ck + 1.0) * (np.log(a_k + prop) - np.log(a_k + cur))
-                    + (c_jk - 1.0) * (np.log(prop) - np.log(cur))
+                    (cj + 1.0) * (np.log(a_j + prop) - log_j_cur)
+                    + (ck + 1.0) * (np.log(a_k + prop) - log_k_cur)
+                    + (c_jk - 1.0) * log_ratio
                     + (prop - cur) * t_sum
-                    + (np.log(prop) - np.log(cur))  # log-scale proposal Jacobian
+                    + log_ratio  # log-scale proposal Jacobian
                 )
                 accept = (np.log(rng.random(cur.shape[0])) < delta) & (prop > 0.0)
             new = np.where(accept, prop, cur)
@@ -574,62 +601,107 @@ class _SweepKernel:
 
     # -- block III: edge intensities and their links ----------------------------
     def _w_terms(self, state: ChainState):
-        """theta(w) and sum M(w), the anchor terms of the link level.
-
-        The anchors do not change within the edge block, so the sweep
-        computes them once for all its edge moves.
-        """
+        """theta(w) and sum M(w), the anchor terms of the link level."""
         fam = self.fam
         return np.asarray(fam.theta(state.w), dtype=float), float(np.sum(fam.cumulant(state.w)))
 
-    def _pair_log_ratio(self, state: ChainState, j, k, s_star, c_star, new_c, new_s,
-                        w_terms=None) -> float:
-        """Log target ratio of moving edge (j, k) and its links to (new_c, new_s).
+    def _edge_terms(self, state: ChainState, s_star, c_star, w_terms=None) -> _EdgeTerms:
+        """The edge block's terms of the current state, from s*, c* as given.
+
+        The sweep builds them once after the anchors; ``_commit_pair`` keeps
+        them current.  ``w_terms`` defaults to ``_w_terms(state)``.
+        """
+        fam, edges, links = self.fam, state.edges, state.links
+        theta_w, m_w_total = self._w_terms(state) if w_terms is None else w_terms
+        return _EdgeTerms(
+            theta_w, m_w_total,
+            [float(np.sum(fam.log_h(s_star[:, node], c_star[node]))) for node in range(self.p)],
+            {(j, k): float(np.sum(fam.log_b(links[:, j, k], float(edges[j, k]))))
+             for j, k in self.pairs},
+            {(j, k): self.prior.log_edge_prior(fam, float(edges[j, k])) for j, k in self.pairs},
+        )
+
+    def _pair_candidate(self, state: ChainState, j, k, s_star, c_star, new_c, new_s, terms,
+                        link_level=True):
+        """Log target ratio of moving edge (j, k) and its links to (new_c, new_s),
+        with the candidate's sums.
 
         Such a move changes only the node levels j and k, the pair's link
         level and its edge prior.  Each node adds
         sum_i [log h(s*', c*') - log h(s*, c*)] + theta(y)·dS - dc·sum M(y),
         where the Jacobian cancels and theta(y), M(y) come from ``_Precomp``.
-        With ``w_terms = (theta(w), sum M(w))`` the link level adds
-        sum_i [log b(S', c') - log b(S, c)] + theta(w)·dS - dc·sum M(w);
-        without it the link level is left out, as for a move that draws the
-        links from that level.  -inf for a candidate outside the support.
+        With ``link_level`` the link level adds
+        sum_i [log b(S', c') - log b(S, c)] + theta(w)·dS - dc·sum M(w), as for
+        a move that keeps or rescales the links.  Only the candidate side is
+        evaluated; the current side comes from ``terms``.  ``new_s=None``
+        holds the links fixed: no dS arithmetic, each dot product is 0.0.
+
+        Returns (ratio, (log h sum of node j, of node k, log b sum or None
+        without the link level, log edge prior)); (-inf, None) outside the
+        support.
         """
         fam, pre = self.fam, self.pre
         lp_new = self.prior.log_edge_prior(fam, new_c)
+        links = state.links[:, j, k] if new_s is None else new_s
         if not math.isfinite(lp_new) or (
-            fam.kind is FamilyKind.BETA and np.any(new_s > new_c)
+            fam.kind is FamilyKind.BETA and np.any(links > new_c)
         ):
-            return _NEG_INF
-        cur_c = float(state.edges[j, k])
-        cur_s = state.links[:, j, k]
-        d_c = new_c - cur_c
-        d_s = new_s - cur_s
-        total = lp_new - self.prior.log_edge_prior(fam, cur_c)
+            return _NEG_INF, None
+        d_c = new_c - float(state.edges[j, k])
+        d_s = None if new_s is None else new_s - state.links[:, j, k]
+        total = lp_new - terms.lp_pair[j, k]
+        h_new = []
         for node in (j, k):
-            s, c = s_star[:, node], c_star[node]
-            total += (
-                float(np.sum(fam.log_h(s + d_s, c + d_c))) - float(np.sum(fam.log_h(s, c)))
-                + float(pre.theta_y[:, node] @ d_s) - d_c * pre.m_y_node[node]
-            )
-        if w_terms is not None:
-            theta_w, m_w_total = w_terms
-            total += (
-                float(np.sum(fam.log_b(new_s, new_c))) - float(np.sum(fam.log_b(cur_s, cur_c)))
-                + float(theta_w @ d_s) - d_c * m_w_total
-            )
-        return total
+            s = s_star[:, node] if d_s is None else s_star[:, node] + d_s
+            h = float(np.sum(fam.log_h(s, c_star[node] + d_c)))
+            dot = 0.0 if d_s is None else float(pre.theta_y[:, node] @ d_s)
+            total += (h - terms.h_node[node]) + dot - d_c * pre.m_y_node[node]
+            h_new.append(h)
+        b_new = None
+        if link_level:
+            b_new = float(np.sum(fam.log_b(links, new_c)))
+            dot = 0.0 if d_s is None else float(terms.theta_w @ d_s)
+            total += (b_new - terms.b_pair[j, k]) + dot - d_c * terms.m_w_total
+        return total, (h_new[0], h_new[1], b_new, lp_new)
 
-    def _commit_pair(self, state: ChainState, j, k, s_star, c_star, new_c, new_s):
-        """Write edge (j, k) and its links with their mirrors; keep s*, c* current."""
-        d_s = new_s - state.links[:, j, k]
+    def _pair_log_ratio(self, state: ChainState, j, k, s_star, c_star, new_c, new_s,
+                        w_terms=None) -> float:
+        """Log target ratio of a move on edge (j, k) outside the sweep.
+
+        The current side is built from ``state``, ``s_star`` and ``c_star`` by
+        ``_edge_terms``, as the sweep builds it once per edge block, and
+        ``_pair_candidate`` evaluates only the candidate.  With ``w_terms``
+        (the value of ``_w_terms``) the link level is included.
+        """
+        terms = self._edge_terms(state, s_star, c_star, w_terms)
+        return self._pair_candidate(state, j, k, s_star, c_star, new_c, new_s, terms,
+                                    w_terms is not None)[0]
+
+    def _commit_pair(self, state: ChainState, j, k, s_star, c_star, new_c, new_s,
+                     terms=None, cand=None):
+        """Write edge (j, k) and its links with their mirrors; keep s*, c* current.
+
+        ``new_s=None`` keeps the links.  s*, c* take the candidate's own
+        additions, so the candidate sums ``cand`` stored into ``terms`` are the
+        floats a recomputation would give; a candidate without the link-level
+        sum (the refresh) has it computed here.
+        """
         d_c = new_c - float(state.edges[j, k])
         state.edges[j, k] = state.edges[k, j] = new_c
-        state.links[:, j, k] = state.links[:, k, j] = new_s
-        s_star[:, j] += d_s
-        s_star[:, k] += d_s
         c_star[j] += d_c
         c_star[k] += d_c
+        if new_s is not None:
+            d_s = new_s - state.links[:, j, k]
+            state.links[:, j, k] = state.links[:, k, j] = new_s
+            s_star[:, j] += d_s
+            s_star[:, k] += d_s
+        if terms is not None:
+            h_j, h_k, b_new, lp_new = cand
+            if b_new is None:
+                b_new = float(np.sum(self.fam.log_b(state.links[:, j, k], new_c)))
+            terms.h_node[j], terms.h_node[k] = h_j, h_k
+            terms.b_pair[j, k] = b_new
+            terms.lp_pair[j, k] = lp_new
 
     def _propose_intensity(self, state: ChainState, name, cur, rng):
         """Random-walk proposal for an edge intensity and its log Jacobian:
@@ -639,22 +711,21 @@ class _SweepKernel:
         prop = cur * math.exp(rng.normal(0.0, state.step_sizes[name]))
         return prop, math.log(prop) - math.log(cur)
 
-    def _update_edge(self, state: ChainState, j, k, rng, s_star, c_star, w_terms):
+    def _update_edge(self, state: ChainState, j, k, rng, s_star, c_star, terms):
         # Random walk on the intensity alone; the links are held fixed.
         name = f"edge_{j + 1}_{k + 1}"
         counter = state.counter(name)
         new_c, jac = self._propose_intensity(state, name, float(state.edges[j, k]), rng)
         counter[1] += 1
-        links = state.links[:, j, k]
-        ratio = self._pair_log_ratio(state, j, k, s_star, c_star, new_c, links, w_terms)
+        ratio, cand = self._pair_candidate(state, j, k, s_star, c_star, new_c, None, terms)
         if ratio == _NEG_INF:
             return
         if math.log(rng.random()) < ratio + jac:
             counter[0] += 1
-            self._commit_pair(state, j, k, s_star, c_star, new_c, links)
+            self._commit_pair(state, j, k, s_star, c_star, new_c, None, terms, cand)
 
     # -- block refresh of one edge intensity and its link values ----------------
-    def _update_edge_refresh(self, state: ChainState, j, k, rng, s_star, c_star):
+    def _update_edge_refresh(self, state: ChainState, j, k, rng, s_star, c_star, terms):
         # Propose a new intensity together with a full redraw of the pair's
         # links from their conditional prior given the anchors; the link
         # density factors cancel, so acceptance rests on the node-level
@@ -671,13 +742,15 @@ class _SweepKernel:
         if fam.kind is FamilyKind.INVERSE_GAMMA and not np.all(new_s > 0.0):
             return  # gamma draws can underflow at tiny intensities
         with np.errstate(divide="ignore", invalid="ignore"):
-            delta = self._pair_log_ratio(state, j, k, s_star, c_star, new_c, new_s) + jac
+            delta, cand = self._pair_candidate(state, j, k, s_star, c_star, new_c, new_s,
+                                               terms, link_level=False)
+            delta += jac
         if math.isfinite(delta) and math.log(rng.random()) < delta:
             counter[0] += 1
-            self._commit_pair(state, j, k, s_star, c_star, new_c, new_s)
+            self._commit_pair(state, j, k, s_star, c_star, new_c, new_s, terms, cand)
 
     # -- joint rescale of one edge intensity and its link values ---------------
-    def _update_edge_scale(self, state: ChainState, j, k, rng, s_star, c_star, w_terms):
+    def _update_edge_scale(self, state: ChainState, j, k, rng, s_star, c_star, terms):
         # Deterministic scaling move (c, S_1..S_n) -> e^eps * (c, S_1..S_n);
         # breaks the ridge between an intensity and its links.  Only applies
         # to continuous-link families.
@@ -688,12 +761,12 @@ class _SweepKernel:
         new_c = float(state.edges[j, k]) * factor
         new_s = state.links[:, j, k] * factor
         counter[1] += 1
-        ratio = self._pair_log_ratio(state, j, k, s_star, c_star, new_c, new_s, w_terms)
+        ratio, cand = self._pair_candidate(state, j, k, s_star, c_star, new_c, new_s, terms)
         if ratio == _NEG_INF:
             return
         if math.log(rng.random()) < ratio + (self.n + 1.0) * eps:
             counter[0] += 1
-            self._commit_pair(state, j, k, s_star, c_star, new_c, new_s)
+            self._commit_pair(state, j, k, s_star, c_star, new_c, new_s, terms, cand)
 
     # -- block II: c0 ----------------------------------------------------------
     def _update_c0(self, state: ChainState, rng, s_star, edge_rowsum, m_w_total):
@@ -753,23 +826,22 @@ class _SweepKernel:
             self._update_links_pair(state, j, k, rng, s_star, theta_w, c_node)
         self._update_anchors(state, rng)
 
-        w_terms = self._w_terms(state)
         c_star = state.c0 + state.edges.sum(axis=1)
+        terms = self._edge_terms(state, s_star, c_star)
         scaling = not fam.discrete_links
         for j, k in self.pairs:
             for _ in range(self.config.edge_moves):
-                self._update_edge(state, j, k, rng, s_star, c_star, w_terms)
+                self._update_edge(state, j, k, rng, s_star, c_star, terms)
                 if scaling:
-                    self._update_edge_scale(state, j, k, rng, s_star, c_star, w_terms)
-                self._update_edge_refresh(state, j, k, rng, s_star, c_star)
+                    self._update_edge_scale(state, j, k, rng, s_star, c_star, terms)
+                self._update_edge_refresh(state, j, k, rng, s_star, c_star, terms)
 
-        theta_w, m_w_total = w_terms
         edge_rowsum = state.edges.sum(axis=1)
-        self._update_c0(state, rng, s_star, edge_rowsum, m_w_total)
+        self._update_c0(state, rng, s_star, edge_rowsum, terms.m_w_total)
 
         c_star = state.c0 + edge_rowsum
         link_rowsum = s_star - state.s0
-        self._update_s0(state, rng, link_rowsum, c_star, float(np.sum(theta_w)))
+        self._update_s0(state, rng, link_rowsum, c_star, float(np.sum(terms.theta_w)))
 
         state.log_posterior = self.log_posterior(state)
         return state

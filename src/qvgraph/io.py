@@ -239,7 +239,9 @@ def persist_samples(samples: PosteriorSamples, directory) -> None:
     """Write one CSV per parameter plus a JSON manifest (and latents, if any).
 
     Values are written with 17 significant digits so that reloading
-    reproduces the arrays bit-exactly.
+    reproduces the arrays bit-exactly.  ``latents.npz`` is stored
+    uncompressed: random floats barely compress, and compressing them costs
+    far more time than the file saves.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -250,7 +252,7 @@ def persist_samples(samples: PosteriorSamples, directory) -> None:
         np.savetxt(directory / f"{name}.csv", arr.T, delimiter=",",
                    fmt="%.17g", header=header, comments="")
     if samples.links is not None:
-        np.savez_compressed(directory / "latents.npz", w=samples.w, links=samples.links)
+        np.savez(directory / "latents.npz", w=samples.w, links=samples.links)
     manifest = {
         "format_version": _FORMAT_VERSION,
         "family": samples.family.value,

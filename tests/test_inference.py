@@ -270,6 +270,106 @@ class TestEdgeMoveRatios:
         assert np.allclose(c_star, state.c0 + state.edges.sum(axis=1), rtol=0, atol=1e-12)
 
 
+class _ForcedAccept:
+    """A generator whose scalar uniform is tiny, so a finite ratio is accepted."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def random(self, *args, **kwargs):
+        return 1e-300 if not (args or kwargs) else self._rng.random(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class _CheckingKernel(inference._SweepKernel):
+    """The sweep's kernel, checking the stored edge terms after every edge move.
+
+    Each sweep forces refreshes to accept until one does; every random-walk
+    ratio is compared with ``log_full_conditional_cjk`` for its candidate.
+    """
+
+    checked = forced = 0
+
+    def check(self, state, s_star, c_star, terms):
+        fresh = self._edge_terms(state, s_star, c_star)
+        assert terms.h_node == fresh.h_node
+        assert terms.b_pair == fresh.b_pair
+        assert terms.lp_pair == fresh.lp_pair
+        self.checked += 1
+
+    def _pair_candidate(self, *args, **kwargs):
+        result = super()._pair_candidate(*args, **kwargs)
+        self.last_candidate, self.last_ratio = args[5], result[0]
+        return result
+
+    def _update_edge(self, state, j, k, rng, s_star, c_star, terms):
+        before = ChainState(family=state.family, s0=state.s0, c0=state.c0,
+                            edges=state.edges.copy(), w=state.w, links=state.links.copy())
+        super()._update_edge(state, j, k, rng, s_star, c_star, terms)
+        expected = log_full_conditional_cjk(before, self.data, self.prior, j, k,
+                                            self.last_candidate)
+        assert self.last_ratio == pytest.approx(expected, rel=1e-12, abs=1e-9)
+        self.check(state, s_star, c_star, terms)
+
+    def _update_edge_scale(self, state, j, k, rng, s_star, c_star, terms):
+        super()._update_edge_scale(state, j, k, rng, s_star, c_star, terms)
+        self.check(state, s_star, c_star, terms)
+
+    def _update_edge_refresh(self, state, j, k, rng, s_star, c_star, terms):
+        counter = state.counter(f"refresh_{j + 1}_{k + 1}")
+        accepted = counter[0]
+        super()._update_edge_refresh(state, j, k, _ForcedAccept(rng) if self.force else rng,
+                                     s_star, c_star, terms)
+        if self.force and counter[0] > accepted:
+            self.force = False
+            self.forced += 1
+        self.check(state, s_star, c_star, terms)
+
+    def sweep(self, state, rng):
+        self.force = True
+        return super().sweep(state, rng)
+
+
+def accepted_moves(state, move):
+    return sum(acc for name, (acc, _) in state.accept.items() if name.startswith(move + "_"))
+
+
+class TestEdgeTermsCache:
+    """The current-state sums the edge moves keep against a fresh recomputation."""
+
+    @pytest.mark.parametrize("kind", INFERENCE_KINDS)
+    def test_stored_sums_equal_a_recomputation(self, kind):
+        params, data, state = make_state(kind, n=20)
+        prior = PriorConfig.default_for(kind)
+        config = MCMCConfig(edge_moves=2)
+        kernel = _CheckingKernel(get_family(kind), data, prior, config)
+        inference._ensure_steps(state, config)
+        rng = np.random.default_rng(4)
+        for _ in range(4):
+            kernel.sweep(state, rng)
+        continuous = not get_family(kind).discrete_links
+        assert kernel.checked == 4 * len(kernel.pairs) * config.edge_moves * (2 + continuous)
+        assert kernel.forced >= 1
+        assert accepted_moves(state, "scale" if continuous else "edge") >= 1
+
+    @pytest.mark.parametrize("kind", INFERENCE_KINDS)
+    def test_full_conditional_is_the_random_walk_ratio(self, kind):
+        params, data, state = make_state(kind)
+        prior = PriorConfig.default_for(kind)
+        kernel = inference._SweepKernel(get_family(kind), data, prior, MCMCConfig())
+        s_star = state.s0 + state.links.sum(axis=2)
+        c_star = state.c0 + state.edges.sum(axis=1)
+        terms = kernel._edge_terms(state, s_star, c_star)
+        for j, k in kernel.pairs:
+            for factor in (0.5, 1.5, 3.0):
+                new_c = float(np.ceil(factor * state.edges[j, k]))
+                ratio, _ = kernel._pair_candidate(state, j, k, s_star, c_star, new_c, None,
+                                                  terms)
+                assert ratio == log_full_conditional_cjk(state, data, prior, j, k, new_c)
+
+
 class TestLinkConditional:
     def test_normal_completed_square_matches_quadratic_fit(self):
         params, data, state = make_state(FamilyKind.NORMAL)

@@ -1,5 +1,6 @@
 import json
 import math
+import zipfile
 
 import numpy as np
 import pytest
@@ -171,6 +172,11 @@ class TestExportNetwork:
         assert "color=gray50" in dot
 
 
+def compress_types(path):
+    with zipfile.ZipFile(path) as archive:
+        return {member.compress_type for member in archive.infolist()}
+
+
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path, small_samples):
         persist_samples(small_samples, tmp_path / "out")
@@ -184,6 +190,15 @@ class TestPersistence:
         loaded = load_samples(tmp_path / "out")
         assert samples_identical(small_samples, loaded)
         assert loaded.links is None
+
+    def test_compressed_latents_still_load(self, tmp_path, small_samples):
+        # directories written before latents were stored uncompressed
+        latents = tmp_path / "out" / "latents.npz"
+        persist_samples(small_samples, tmp_path / "out")
+        assert compress_types(latents) == {zipfile.ZIP_STORED}
+        np.savez_compressed(latents, w=small_samples.w, links=small_samples.links)
+        assert compress_types(latents) == {zipfile.ZIP_DEFLATED}
+        assert samples_identical(small_samples, load_samples(tmp_path / "out"))
 
     def test_version_mismatch(self, tmp_path, small_samples):
         persist_samples(small_samples, tmp_path / "out")
