@@ -85,6 +85,17 @@ class Family:
     Subclasses provide the canonical maps, the two log coefficient functions
     ``log_b``/``log_h`` and exact (or numeric, for the scaled-Student member)
     samplers for the anchor level and the link level.
+
+    Sums over replicates at one intensity go through summaries, so that a
+    move changing only the intensity re-sums without the values:
+    ``h_summary(s)`` and ``b_summary(s)`` summarize a 1-d array of node sums
+    or link values, and ``log_h_sum(summary, c)`` and ``log_b_sum(summary,
+    c)`` return sum_i log h(s_i, c) and sum_i log b(s_i, c) from them.  By
+    default the summary is a copy of the values and the sum the array sum,
+    O(n).  The normal, gamma and inverse-gamma members use closed forms in
+    one or two numbers (sum s**2; sum s and sum gammaln(s); sum log s), O(1)
+    in c, which give -inf or nan at an out-of-support c, as the array sum
+    does, rather than raise.
     """
 
     kind: FamilyKind
@@ -120,6 +131,20 @@ class Family:
     def log_h_step(self, s, c):
         """log h(s + 1, c) - log h(s, c); discrete-link families only."""
         raise NotImplementedError
+
+    def h_summary(self, s):
+        """What ``log_h_sum`` needs of a 1-d array of node sums."""
+        return np.array(s, dtype=float)
+
+    b_summary = h_summary  # what ``log_b_sum`` needs of link values
+
+    def log_h_sum(self, summary, c) -> float:
+        """sum_i log h(s_i, c) from ``h_summary(s)``."""
+        return float(np.sum(self.log_h(summary, c)))
+
+    def log_b_sum(self, summary, c) -> float:
+        """sum_i log b(s_i, c) from ``b_summary(s)``."""
+        return float(np.sum(self.log_b(summary, c)))
 
     # -- densities ---------------------------------------------------------
     def log_w_density(self, w, s, c):
@@ -190,6 +215,26 @@ def _is_integer(x):
     return np.isfinite(x) & (x == np.round(x))
 
 
+# Scalar counterparts of np.log, special.gammaln and s**2 / (2c) for the
+# closed-form sums: -inf or nan where the array routines give them, no error.
+def _log(x) -> float:
+    if x > 0.0:
+        return math.log(x)
+    return -math.inf if x == 0.0 else math.nan
+
+
+def _lgamma(x) -> float:
+    try:
+        return math.lgamma(x)
+    except (ValueError, OverflowError):  # a pole or overflow
+        return float(special.gammaln(x))
+
+
+def _half_sq_over(sum_sq, c) -> float:
+    # sum_sq >= 0; at c == 0 numpy gives inf, or nan for 0/0
+    return sum_sq / (2.0 * c) if c else math.inf * sum_sq
+
+
 class NormalFamily(Family):
     """Normal marginals with normal links; V(mu) = 1."""
 
@@ -216,14 +261,31 @@ class NormalFamily(Family):
         s = np.asarray(s, dtype=float)
         return 0.5 * (np.log(c) - _LOG_2PI) - s * s / (2.0 * c)
 
+    def h_summary(self, s):
+        # np.sum, not a dot product: the sum must not depend on whether s is
+        # a strided column or a contiguous copy
+        return s.shape[0], float(np.sum(s * s))
+
+    def log_h_sum(self, summary, c) -> float:
+        n, sum_sq = summary
+        return n * 0.5 * (_log(c) - _LOG_2PI) - _half_sq_over(sum_sq, c)
+
+    b_summary = h_summary
+
+    def log_b_sum(self, summary, c) -> float:
+        n, sum_sq = summary
+        return n * -0.5 * (_LOG_2PI + _log(c)) - _half_sq_over(sum_sq, c)
+
     def sample_w(self, s, c, rng, size=None):
         s = np.asarray(s, dtype=float)
         return rng.normal(s / c, np.sqrt(1.0 / c), size=size)
 
     def sample_link(self, w, c, rng):
         w = np.asarray(w, dtype=float)
-        # mean c*w, precision 1/c (variance c = c * V(w))
-        return rng.normal(c * w, math.sqrt(c), size=w.shape if w.ndim else None)
+        # mean c*w, precision 1/c (variance c = c * V(w)); rng.normal(c*w,
+        # sqrt(c)) computes the same loc + scale * z, but slower
+        z = rng.standard_normal(w.shape if w.ndim else None)
+        return c * w + math.sqrt(c) * z
 
     def in_mean_space(self, w):
         return np.isfinite(w)
@@ -260,6 +322,18 @@ class GammaFamily(Family):
     def log_h(self, s, c):
         s = np.asarray(s, dtype=float)
         return s * np.log(c) - special.gammaln(s)
+
+    def h_summary(self, s):
+        return float(np.sum(s)), float(np.sum(special.gammaln(s)))
+
+    def log_h_sum(self, summary, c) -> float:
+        sum_s, sum_lgamma = summary
+        return _log(c) * sum_s - sum_lgamma
+
+    def b_summary(self, s):
+        return float(np.sum(s)), float(np.sum(special.gammaln(s + 1.0)))
+
+    log_b_sum = log_h_sum  # log c * sum s - sum gammaln(s + 1), from b_summary
 
     def log_b_step(self, s, c):
         return np.log(c) - np.log(np.asarray(s, dtype=float) + 1.0)
@@ -316,6 +390,19 @@ class InverseGammaFamily(Family):
         c = np.asarray(c, dtype=float)
         return (c + 1.0) * np.log(s) - special.gammaln(c + 1.0)
 
+    def h_summary(self, s):
+        return s.shape[0], float(np.sum(np.log(s)))
+
+    def log_h_sum(self, summary, c) -> float:
+        n, sum_log = summary
+        return (c + 1.0) * sum_log - n * _lgamma(c + 1.0)
+
+    b_summary = h_summary
+
+    def log_b_sum(self, summary, c) -> float:
+        n, sum_log = summary
+        return (c - 1.0) * sum_log - n * _lgamma(c)
+
     def sample_w(self, s, c, rng, size=None):
         s = np.asarray(s, dtype=float)
         c = np.asarray(c, dtype=float)
@@ -323,7 +410,9 @@ class InverseGammaFamily(Family):
 
     def sample_link(self, w, c, rng):
         w = np.asarray(w, dtype=float)
-        return rng.gamma(shape=c, scale=w, size=w.shape if w.ndim else None)
+        # rng.gamma(shape=c, scale=w) computes the same w * standard_gamma(c),
+        # but slower
+        return rng.standard_gamma(c, w.shape if w.ndim else None) * w
 
     def in_mean_space(self, w):
         return np.isfinite(w) & (w > 0.0)

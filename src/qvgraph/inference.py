@@ -21,6 +21,11 @@ The edge moves evaluate only their candidate.  After the anchors the sweep
 computes, for the current state, each node's sum of log h, each pair's sum of
 log b and each edge-prior term once; an accepted move stores its candidate's
 sums in their place, so the current side of a ratio is never recomputed.
+The sums come from the families' summaries of the node sums and link values
+(``Family.h_summary``/``b_summary``), which the sweep keeps with them, so the
+intensity-only moves (the edge random walk and c0) read cached summaries:
+O(1) per candidate for the normal, gamma and inverse-gamma families, O(n) for
+beta and inverse beta.
 """
 
 from __future__ import annotations
@@ -309,13 +314,15 @@ def _cond_s0_core(fam, prior, cand, c0, c_star, link_rowsum, n, theta_total) -> 
     return h_sum + n * float(fam.log_h(cand, c0)) + cand * theta_total + lp
 
 
-def _cond_c0_core(fam, prior, cand, s0, s_star, edge_rowsum, n, m_total) -> float:
+def _cond_c0_core(fam, prior, cand, s0, h_stat, h_s0, edge_rowsum, n, m_total) -> float:
+    """``h_stat`` holds each node's ``h_summary`` of s*, ``h_s0`` the
+    ``h_summary`` of the one-element array [s0]."""
     if cand <= 0.0 or not fam.hyper_ok(s0, cand):
         return _NEG_INF
     lp = prior.log_c0_prior(cand) + prior.s0_prior.logpdf(s0, cand)
-    c_star = cand + edge_rowsum
-    h_sum = float(np.sum(fam.log_h(s_star, c_star[None, :])))
-    return h_sum + n * float(fam.log_h(s0, cand)) - cand * m_total + lp
+    c_star = (cand + edge_rowsum).tolist()
+    h_sum = sum(fam.log_h_sum(stat, c) for stat, c in zip(h_stat, c_star))
+    return h_sum + n * fam.log_h_sum(h_s0, cand) - cand * m_total + lp
 
 
 def log_full_conditional_s0(state: ChainState, data: Dataset, prior: PriorConfig,
@@ -340,9 +347,11 @@ def log_full_conditional_c0(state: ChainState, data: Dataset, prior: PriorConfig
     pre = _Precomp(fam, data)
     edge_rowsum = state.edges.sum(axis=1)
     s_star = state.s0 + state.links.sum(axis=2)
+    h_stat = [fam.h_summary(s_star[:, node]) for node in range(pre.p)]
     m_total = pre.m_y_total + float(np.sum(fam.cumulant(state.w)))
     return _cond_c0_core(
-        fam, prior, float(c0_candidate), state.s0, s_star, edge_rowsum, pre.n, m_total
+        fam, prior, float(c0_candidate), state.s0, h_stat, fam.h_summary(np.array([state.s0])),
+        edge_rowsum, pre.n, m_total,
     )
 
 
@@ -449,12 +458,15 @@ def _rows_softmax_sample(g, rng):
 
 @dataclass(slots=True)
 class _EdgeTerms:
-    """What the edge moves read of the current state besides s* and c*.
+    """What the edge moves and the c0 step read of the current state besides
+    s* and c*.
 
     theta(w) and sum M(w) are fixed in the edge block.  ``h_node[j]`` is
     sum_i log h(s*_ij, c*_j), ``b_pair[j, k]`` is sum_i log b(S_ijk, c_jk) and
     ``lp_pair[j, k]`` the log edge prior of c_jk: the current side of every
-    move's ratio, which changes only when a move is accepted.
+    move's ratio, which changes only when a move is accepted.  ``h_stat[j]``
+    and ``b_stat[j, k]`` are the family's summaries of s*_j and S_jk that give
+    those sums at any intensity; ``h_s0`` summarizes [s0] for the c0 step.
     """
 
     theta_w: np.ndarray
@@ -462,6 +474,9 @@ class _EdgeTerms:
     h_node: list
     b_pair: dict
     lp_pair: dict
+    h_stat: list
+    b_stat: dict
+    h_s0: object
 
 
 class _SweepKernel:
@@ -557,7 +572,8 @@ class _SweepKernel:
                 # independence refresh: propose from the conditional link prior
                 # Ga(c_jk, scale w); the proposal cancels everything except the
                 # two level-normalizer factors and the observation tilt
-                prop = rng.gamma(shape=c_jk, scale=state.w[sel])
+                # (rng.gamma(shape=c_jk, scale=w) gives the same, slower)
+                prop = rng.standard_gamma(c_jk, size=cur.shape) * state.w[sel]
                 log_j_prop, log_j_cur = np.log(a_j + prop), np.log(a_j + cur)
                 log_k_prop, log_k_cur = np.log(a_k + prop), np.log(a_k + cur)
                 delta = (
@@ -613,12 +629,14 @@ class _SweepKernel:
         """
         fam, edges, links = self.fam, state.edges, state.links
         theta_w, m_w_total = self._w_terms(state) if w_terms is None else w_terms
+        h_stat = [fam.h_summary(s_star[:, node]) for node in range(self.p)]
+        b_stat = {(j, k): fam.b_summary(links[:, j, k]) for j, k in self.pairs}
         return _EdgeTerms(
             theta_w, m_w_total,
-            [float(np.sum(fam.log_h(s_star[:, node], c_star[node]))) for node in range(self.p)],
-            {(j, k): float(np.sum(fam.log_b(links[:, j, k], float(edges[j, k]))))
-             for j, k in self.pairs},
-            {(j, k): self.prior.log_edge_prior(fam, float(edges[j, k])) for j, k in self.pairs},
+            [fam.log_h_sum(h_stat[node], c_star[node]) for node in range(self.p)],
+            {pair: fam.log_b_sum(b_stat[pair], float(edges[pair])) for pair in self.pairs},
+            {pair: self.prior.log_edge_prior(fam, float(edges[pair])) for pair in self.pairs},
+            h_stat, b_stat, fam.h_summary(np.array([state.s0])),
         )
 
     def _pair_candidate(self, state: ChainState, j, k, s_star, c_star, new_c, new_s, terms,
@@ -634,11 +652,12 @@ class _SweepKernel:
         sum_i [log b(S', c') - log b(S, c)] + theta(w)·dS - dc·sum M(w), as for
         a move that keeps or rescales the links.  Only the candidate side is
         evaluated; the current side comes from ``terms``.  ``new_s=None``
-        holds the links fixed: no dS arithmetic, each dot product is 0.0.
+        holds the links fixed: the sums come from the stored summaries, with
+        no dS arithmetic and each dot product 0.0.
 
-        Returns (ratio, (log h sum of node j, of node k, log b sum or None
-        without the link level, log edge prior)); (-inf, None) outside the
-        support.
+        Returns (ratio, ((log h sum, h summary) of node j, of node k,
+        (log b sum, b summary) or None without the link level, log edge
+        prior)); (-inf, None) outside the support.
         """
         fam, pre = self.fam, self.pre
         lp_new = self.prior.log_edge_prior(fam, new_c)
@@ -652,16 +671,23 @@ class _SweepKernel:
         total = lp_new - terms.lp_pair[j, k]
         h_new = []
         for node in (j, k):
-            s = s_star[:, node] if d_s is None else s_star[:, node] + d_s
-            h = float(np.sum(fam.log_h(s, c_star[node] + d_c)))
-            dot = 0.0 if d_s is None else float(pre.theta_y[:, node] @ d_s)
+            if d_s is None:
+                stat, dot = terms.h_stat[node], 0.0
+            else:
+                stat = fam.h_summary(s_star[:, node] + d_s)
+                dot = float(pre.theta_y[:, node] @ d_s)
+            h = fam.log_h_sum(stat, c_star[node] + d_c)
             total += (h - terms.h_node[node]) + dot - d_c * pre.m_y_node[node]
-            h_new.append(h)
+            h_new.append((h, stat))
         b_new = None
         if link_level:
-            b_new = float(np.sum(fam.log_b(links, new_c)))
-            dot = 0.0 if d_s is None else float(terms.theta_w @ d_s)
-            total += (b_new - terms.b_pair[j, k]) + dot - d_c * terms.m_w_total
+            if d_s is None:
+                stat, dot = terms.b_stat[j, k], 0.0
+            else:
+                stat, dot = fam.b_summary(new_s), float(terms.theta_w @ d_s)
+            b = fam.log_b_sum(stat, new_c)
+            total += (b - terms.b_pair[j, k]) + dot - d_c * terms.m_w_total
+            b_new = (b, stat)
         return total, (h_new[0], h_new[1], b_new, lp_new)
 
     def _pair_log_ratio(self, state: ChainState, j, k, s_star, c_star, new_c, new_s,
@@ -682,9 +708,9 @@ class _SweepKernel:
         """Write edge (j, k) and its links with their mirrors; keep s*, c* current.
 
         ``new_s=None`` keeps the links.  s*, c* take the candidate's own
-        additions, so the candidate sums ``cand`` stored into ``terms`` are the
-        floats a recomputation would give; a candidate without the link-level
-        sum (the refresh) has it computed here.
+        additions, so the candidate sums and summaries ``cand`` stored into
+        ``terms`` are the values a recomputation would give; a candidate
+        without the link level (the refresh) has its sum computed here.
         """
         d_c = new_c - float(state.edges[j, k])
         state.edges[j, k] = state.edges[k, j] = new_c
@@ -696,11 +722,13 @@ class _SweepKernel:
             s_star[:, j] += d_s
             s_star[:, k] += d_s
         if terms is not None:
-            h_j, h_k, b_new, lp_new = cand
+            (h_j, stat_j), (h_k, stat_k), b_new, lp_new = cand
             if b_new is None:
-                b_new = float(np.sum(self.fam.log_b(state.links[:, j, k], new_c)))
+                stat = self.fam.b_summary(state.links[:, j, k])
+                b_new = (self.fam.log_b_sum(stat, new_c), stat)
             terms.h_node[j], terms.h_node[k] = h_j, h_k
-            terms.b_pair[j, k] = b_new
+            terms.h_stat[j], terms.h_stat[k] = stat_j, stat_k
+            terms.b_pair[j, k], terms.b_stat[j, k] = b_new
             terms.lp_pair[j, k] = lp_new
 
     def _propose_intensity(self, state: ChainState, name, cur, rng):
@@ -769,19 +797,20 @@ class _SweepKernel:
             self._commit_pair(state, j, k, s_star, c_star, new_c, new_s, terms, cand)
 
     # -- block II: c0 ----------------------------------------------------------
-    def _update_c0(self, state: ChainState, rng, s_star, edge_rowsum, m_w_total):
+    def _update_c0(self, state: ChainState, rng, terms, edge_rowsum):
+        # c0 enters the node levels through c* alone: the node summaries of
+        # the edge block's terms give every log h sum.
         counter = state.counter("c0")
         step = state.step_sizes["c0"]
         cur = state.c0
         prop = cur * math.exp(rng.normal(0.0, step))
         counter[1] += 1
-        m_total = self.pre.m_y_total + m_w_total
-        lo = _cond_c0_core(self.fam, self.prior, prop, state.s0, s_star, edge_rowsum,
-                           self.n, m_total)
+        args = (state.s0, terms.h_stat, terms.h_s0, edge_rowsum, self.n,
+                self.pre.m_y_total + terms.m_w_total)
+        lo = _cond_c0_core(self.fam, self.prior, prop, *args)
         if lo == _NEG_INF:
             return
-        lc = _cond_c0_core(self.fam, self.prior, cur, state.s0, s_star, edge_rowsum,
-                           self.n, m_total)
+        lc = _cond_c0_core(self.fam, self.prior, cur, *args)
         if math.log(rng.random()) < lo - lc + math.log(prop) - math.log(cur):
             counter[0] += 1
             state.c0 = prop
@@ -837,7 +866,7 @@ class _SweepKernel:
                 self._update_edge_refresh(state, j, k, rng, s_star, c_star, terms)
 
         edge_rowsum = state.edges.sum(axis=1)
-        self._update_c0(state, rng, s_star, edge_rowsum, terms.m_w_total)
+        self._update_c0(state, rng, terms, edge_rowsum)
 
         c_star = state.c0 + edge_rowsum
         link_rowsum = s_star - state.s0

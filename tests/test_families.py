@@ -390,6 +390,19 @@ class TestLinkSampler:
         cdf_grid /= cdf_grid[-1]
         assert ks_statistic(draws, lambda x: np.interp(x, grid, cdf_grid)) < ks_threshold(n)
 
+    @pytest.mark.parametrize("c", [0.3, 1.0, 2.5, 40.0])
+    def test_draws_equal_the_numpy_routines(self, c):
+        # The normal and gamma-link draws compute numpy's own loc + scale * z
+        # and scale * standard_gamma; the stream must stay the same bits.
+        w_array = np.random.default_rng(0).gamma(2.0, 1.0, size=257)
+        for w in (w_array, 0.7):
+            fam = get_family("inverse_gamma")
+            assert np.array_equal(fam.sample_link(w, c, np.random.default_rng(9)),
+                                  np.random.default_rng(9).gamma(shape=c, scale=w))
+            fam = get_family("normal")
+            assert np.array_equal(fam.sample_link(w, c, np.random.default_rng(9)),
+                                  np.random.default_rng(9).normal(c * w, math.sqrt(c)))
+
     def test_domain_errors(self, rng):
         with pytest.raises(DomainError):
             sample_link("beta", 0.5, 2.5, rng)  # non-integer trial count
@@ -397,3 +410,59 @@ class TestLinkSampler:
             sample_link("gamma", -1.0, 2.0, rng)
         with pytest.raises(DomainError):
             sample_link("gamma", 1.0, 0.0, rng)
+
+
+def _summary_inputs(kind):
+    """Node sums, link values and intensities from the family's support,
+    with values up to 1e4."""
+    rng = np.random.default_rng(17)
+    counts = np.concatenate([rng.poisson(5.0, 200), [0.0, 1.0, 1e4]]).astype(float)
+    positive = np.concatenate([rng.gamma(2.0, 3.0, 200), [1e-3, 0.5, 9876.5, 1e4]])
+    cs = [0.3, 1.0, 7.5, 250.0]
+    if kind is FamilyKind.NORMAL:
+        reals = np.concatenate([rng.normal(0.0, 3.0, 200), [0.0, -1e4, 1e4]])
+        return reals, reals[::-1].copy(), cs
+    if kind is FamilyKind.GAMMA:
+        return positive, counts, cs
+    if kind is FamilyKind.INVERSE_GAMMA:
+        return positive, positive[::-1].copy(), cs
+    if kind is FamilyKind.BETA:  # 0 < s < c, links in 0..c
+        return positive, counts, [10_001.0, 12_000.0, 20_000.0, 100_000.0]
+    return positive, counts, [1.0, 2.0, 7.0, 250.0]
+
+
+class TestSummedCoefficients:
+    """log_h_sum(h_summary(s), c) and log_b_sum(b_summary(s), c) against the
+    sums of log_h and log_b."""
+
+    @staticmethod
+    def check(log_fn, summary_fn, sum_fn, s, c):
+        with np.errstate(all="ignore"):
+            terms = np.asarray(log_fn(s, c), dtype=float)
+        direct = float(np.sum(terms))
+        summed = sum_fn(summary_fn(s), c)
+        if not math.isfinite(direct):
+            assert not math.isfinite(summed)
+            return
+        # relative to the cancellation in the sum, not a looser absolute bound
+        tol = 1e-12 * (abs(direct) + float(np.sum(np.abs(terms))))
+        assert abs(summed - direct) <= tol
+
+    @pytest.mark.parametrize("kind", EXACT_KINDS)
+    def test_sums_match_the_direct_sums(self, kind):
+        fam = get_family(kind)
+        node_sums, link_values, cs = _summary_inputs(kind)
+        for c in cs:
+            assert np.all(np.isfinite(fam.log_h(node_sums, c)))
+            assert np.all(np.isfinite(fam.log_b(link_values, c)))
+            self.check(fam.log_h, fam.h_summary, fam.log_h_sum, node_sums, c)
+            self.check(fam.log_b, fam.b_summary, fam.log_b_sum, link_values, c)
+
+    @pytest.mark.parametrize("kind", [FamilyKind.NORMAL, FamilyKind.GAMMA,
+                                      FamilyKind.INVERSE_GAMMA])
+    def test_out_of_support_intensity_is_not_an_error(self, kind):
+        fam = get_family(kind)
+        node_sums, link_values, _ = _summary_inputs(kind)
+        for c in (0.0, -1.0, -2.5, float("nan")):
+            self.check(fam.log_h, fam.h_summary, fam.log_h_sum, node_sums, c)
+            self.check(fam.log_b, fam.b_summary, fam.log_b_sum, link_values, c)

@@ -370,6 +370,78 @@ class TestEdgeTermsCache:
                 assert ratio == log_full_conditional_cjk(state, data, prior, j, k, new_c)
 
 
+SUMMED_KINDS = [FamilyKind.NORMAL, FamilyKind.GAMMA, FamilyKind.INVERSE_GAMMA]
+SUMMARY_FNS = ("log_h", "log_b", "h_summary", "b_summary")
+
+
+class TestIntensityOnlyMoves:
+    """The edge random walk and the c0 step read the cached summaries."""
+
+    def setup_terms(self, kind):
+        params, data, state = make_state(kind, n=20)
+        prior = PriorConfig.default_for(kind)
+        config = MCMCConfig()
+        kernel = inference._SweepKernel(get_family(kind), data, prior, config)
+        inference._ensure_steps(state, config)
+        s_star = state.s0 + state.links.sum(axis=2)
+        c_star = state.c0 + state.edges.sum(axis=1)
+        return data, prior, state, kernel, s_star, c_star, kernel._edge_terms(state, s_star, c_star)
+
+    @staticmethod
+    def spy(monkeypatch, fam):
+        calls = []
+        for name in SUMMARY_FNS:
+            def wrapper(*args, _fn=getattr(fam, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(fam, name, wrapper)
+        return calls
+
+    @pytest.mark.parametrize("kind", SUMMED_KINDS)
+    def test_no_n_length_call(self, kind, monkeypatch):
+        data, prior, state, kernel, s_star, c_star, terms = self.setup_terms(kind)
+        before = ChainState(family=state.family, s0=state.s0, c0=state.c0,
+                            edges=state.edges.copy(), w=state.w, links=state.links.copy())
+        calls = self.spy(monkeypatch, kernel.fam)
+        ratios = {}
+        for j, k in kernel.pairs:
+            new_c = 1.3 * float(state.edges[j, k])
+            ratios[j, k, new_c] = kernel._pair_candidate(state, j, k, s_star, c_star, new_c,
+                                                         None, terms)[0]
+        kernel._update_c0(state, np.random.default_rng(0), terms, state.edges.sum(axis=1))
+        assert calls == []
+        assert state.accept["c0"][1] == 1
+        monkeypatch.undo()
+        for (j, k, new_c), ratio in ratios.items():
+            expected = log_full_conditional_cjk(before, data, prior, j, k, new_c)
+            assert ratio == pytest.approx(expected, rel=1e-12, abs=1e-9)
+
+    @pytest.mark.parametrize("kind", [k for k in INFERENCE_KINDS if k not in SUMMED_KINDS])
+    def test_default_path_is_the_array_sum(self, kind, monkeypatch):
+        data, prior, state, kernel, s_star, c_star, terms = self.setup_terms(kind)
+        fam, pre = kernel.fam, kernel.pre
+        m_w_total = float(np.sum(fam.cumulant(state.w)))
+        for j, k in kernel.pairs:
+            cur_c = float(state.edges[j, k])
+            new_c = cur_c + 1.0
+            d_c = new_c - cur_c
+            # the ratio as summed over the arrays, in the sampler's order
+            expected = (prior.log_edge_prior(fam, new_c) - prior.log_edge_prior(fam, cur_c))
+            for node in (j, k):
+                h_new = float(np.sum(fam.log_h(s_star[:, node], c_star[node] + d_c)))
+                h_cur = float(np.sum(fam.log_h(s_star[:, node], c_star[node])))
+                expected += (h_new - h_cur) + 0.0 - d_c * pre.m_y_node[node]
+            b_new = float(np.sum(fam.log_b(state.links[:, j, k], new_c)))
+            b_cur = float(np.sum(fam.log_b(state.links[:, j, k], cur_c)))
+            expected += (b_new - b_cur) + 0.0 - d_c * m_w_total
+            calls = self.spy(monkeypatch, fam)
+            ratio, _ = kernel._pair_candidate(state, j, k, s_star, c_star, new_c, None, terms)
+            monkeypatch.undo()
+            assert ratio == expected
+            assert ratio == log_full_conditional_cjk(state, data, prior, j, k, new_c)
+            assert calls.count("log_h") == 2 and calls.count("log_b") == 1
+
+
 class TestLinkConditional:
     def test_normal_completed_square_matches_quadratic_fit(self):
         params, data, state = make_state(FamilyKind.NORMAL)
