@@ -26,12 +26,23 @@ The sums come from the families' summaries of the node sums and link values
 intensity-only moves (the edge random walk and c0) read cached summaries:
 O(1) per candidate for the normal, gamma and inverse-gamma families, O(n) for
 beta and inverse beta.
+
+``run_chains`` runs its chains in parallel forked processes, one per chain up
+to the usable CPUs.  Each chain draws from its own ``SeedSequence.spawn``
+stream and writes its draws into output arrays in shared memory, so the
+result is bit-identical to running the chains one after another, which
+``MCMCConfig(workers=1)`` does in the calling process.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
-from dataclasses import dataclass, field, replace
+import mmap
+import multiprocessing
+import os
+import pickle
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -212,6 +223,14 @@ class StepSizes:
 
 @dataclass(frozen=True)
 class MCMCConfig:
+    """Chain controls of ``run_chains``.
+
+    ``workers`` is the number of processes the chains run in: ``None`` takes
+    one per chain up to the usable CPUs, ``1`` runs every chain in the
+    calling process (for profilers, debuggers and tracing).  The draws are
+    the same bit for bit whatever the value.
+    """
+
     iterations: int = 105_000
     burn_in: int = 15_000
     thinning: int = 40
@@ -223,10 +242,13 @@ class MCMCConfig:
     max_enum_states: int = 1_000_000
     keep_latents: bool = True
     edge_moves: int = 3
+    workers: int | None = None
 
     def __post_init__(self):
         if not self.burn_in < self.iterations:
             raise DomainError("burn_in must be smaller than iterations")
+        if self.burn_in < 0:
+            raise DomainError("burn_in must be >= 0")
         if self.thinning < 1:
             raise DomainError("thinning must be >= 1")
         if self.chains < 1:
@@ -235,6 +257,8 @@ class MCMCConfig:
             raise DomainError("adapt_window must be >= 1")
         if self.edge_moves < 1:
             raise DomainError("edge_moves must be >= 1")
+        if self.workers is not None and self.workers < 1:
+            raise DomainError("workers must be >= 1")
         for name in ("s0", "c0", "edge", "link"):
             if not getattr(self.step_sizes, name) > 0.0:
                 raise DomainError(f"step size {name} must be strictly positive")
@@ -872,7 +896,6 @@ class _SweepKernel:
         link_rowsum = s_star - state.s0
         self._update_s0(state, rng, link_rowsum, c_star, float(np.sum(terms.theta_w)))
 
-        state.log_posterior = self.log_posterior(state)
         return state
 
     def log_posterior(self, state: ChainState) -> float:
@@ -977,10 +1000,13 @@ def link_conditional_normal_coeffs(state: ChainState, data: Dataset, i: int, j: 
 
 def gibbs_sweep(state: ChainState, data: Dataset, prior: PriorConfig,
                 config: MCMCConfig, rng) -> ChainState:
-    """One systematic scan over links, anchors, edges, c0 and s0 in place."""
+    """One systematic scan over links, anchors, edges, c0 and s0 in place;
+    stores the log posterior of the new state in ``state.log_posterior``."""
     kernel = _SweepKernel(get_family(state.family), data, prior, config)
     _ensure_steps(state, config)
-    return kernel.sweep(state, rng)
+    kernel.sweep(state, rng)
+    state.log_posterior = kernel.log_posterior(state)
+    return state
 
 
 def log_posterior(state: ChainState, data: Dataset, prior: PriorConfig) -> float:
@@ -1119,6 +1145,156 @@ class PosteriorSamples:
         return out
 
 
+@dataclass(frozen=True)
+class _ChainRun:
+    """What every chain of one ``run_chains`` call shares: the kernel, the
+    per-chain seeds and the output arrays, of which chain m owns row m."""
+
+    kernel: _SweepKernel
+    seeds: list
+    s0: np.ndarray
+    c0: np.ndarray
+    edges: np.ndarray
+    w: np.ndarray | None
+    links: np.ndarray | None
+
+
+def _state_digest(state: ChainState) -> str:
+    """Short SHA-256 of a state's s0, c0, edges, anchors and links."""
+    h = hashlib.sha256()
+    for a in (state.s0, state.c0, state.edges, state.w, state.links):
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _run_chain(run: _ChainRun, m: int) -> tuple[dict, str]:
+    """Run chain m and write its retained draws into row m of the outputs.
+
+    Returns the chain's stationary acceptance rates and the digest of its
+    final state; a failure raises ``ChainError`` with the chain and sweep.
+    """
+    kernel = run.kernel
+    config = kernel.config
+    tri = np.array(kernel.pairs)
+    rng = np.random.default_rng(run.seeds[m])
+    t = 0
+    try:
+        state = initial_state(kernel.fam, kernel.data, kernel.prior, config, m, rng)
+        window_start: dict = {}
+        adapt_round = 0
+        keep_idx = 0
+        for t in range(1, config.iterations + 1):
+            kernel.sweep(state, rng)
+            if t <= config.burn_in:
+                if t % config.adapt_window == 0:
+                    adapt_round += 1
+                    _adapt_block_steps(state, window_start, adapt_round)
+                if t == config.burn_in:
+                    state.accept = {}
+            elif (t - config.burn_in) % config.thinning == 0:
+                run.s0[m, keep_idx] = state.s0
+                run.c0[m, keep_idx] = state.c0
+                run.edges[m, keep_idx] = state.edges[tri[:, 0], tri[:, 1]]
+                if config.keep_latents:
+                    run.w[m, keep_idx] = state.w
+                    run.links[m, keep_idx] = state.links[:, tri[:, 0], tri[:, 1]]
+                keep_idx += 1
+    except Exception as exc:  # noqa: BLE001 - re-raise with chain context
+        raise ChainError(
+            f"chain {m} failed at sweep {t}: {exc}", chain=m, sweep=t
+        ) from exc
+    rates = {
+        name: (c[0] / c[1] if c[1] else float("nan"))
+        for name, c in sorted(state.accept.items())
+    }
+    return rates, _state_digest(state)
+
+
+def _chain_worker(run: _ChainRun, chains, conn) -> None:
+    """Body of a forked worker: run the given chains in order and send each
+    one's (result, None), or (None, (message, chain, sweep, cause)) for the
+    first that fails.  The cause is sent only if it survives a pickle round
+    trip, so that the parent can always read what is sent."""
+    for m in chains:
+        try:
+            conn.send((_run_chain(run, m), None))
+        except ChainError as err:
+            cause = err.__cause__
+            try:
+                pickle.loads(pickle.dumps(cause))
+            except Exception:  # noqa: BLE001 - an unpicklable cause stays behind
+                cause = None
+            conn.send((None, (str(err), err.chain, err.sweep, cause)))
+            return
+
+
+def _worker_count(config: MCMCConfig) -> int:
+    """Processes to run the chains in; 1 means the calling process."""
+    if config.workers is not None:
+        wanted = config.workers
+    elif hasattr(os, "sched_getaffinity"):
+        wanted = len(os.sched_getaffinity(0))
+    else:
+        wanted = os.cpu_count() or 1
+    workers = min(wanted, config.chains)
+    if workers > 1 and ("fork" not in multiprocessing.get_all_start_methods()
+                        or multiprocessing.current_process().daemon):
+        return 1  # no fork, or a daemonic process, which may not have children
+    return workers
+
+
+def _run_all(run: _ChainRun, workers: int) -> list:
+    """(rates, digest) of every chain, in chain order.
+
+    With more than one worker, worker i runs chains i, i + workers, ... in a
+    forked process that inherits the run and writes its draws into the
+    shared outputs.  Results are read in chain order, so the lowest-index
+    failure is raised; a worker that dies fails its next chain.
+    """
+    chains = range(len(run.seeds))
+    if workers == 1:
+        return [_run_chain(run, m) for m in chains]
+    ctx = multiprocessing.get_context("fork")
+    procs, conns = [], []
+    try:
+        for i in range(workers):
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_chain_worker, args=(run, chains[i::workers], writer),
+                               daemon=True)
+            proc.start()
+            writer.close()  # the worker holds the only write end: its death ends the pipe
+            procs.append(proc)
+            conns.append(reader)
+        results = []
+        for m in chains:
+            try:
+                result, failure = conns[m % workers].recv()
+            except EOFError:
+                proc = procs[m % workers]
+                proc.join()
+                raise ChainError(f"chain {m} failed: its worker process exited with code "
+                                 f"{proc.exitcode}", chain=m) from None
+            if failure is not None:
+                message, chain, sweep, cause = failure
+                raise ChainError(message, chain=chain, sweep=sweep) from cause
+            results.append(result)
+        return results
+    finally:
+        for proc in procs:
+            proc.terminate()
+            proc.join()
+        for conn in conns:
+            conn.close()
+
+
+def _shared_empty(shape) -> np.ndarray:
+    """A float array in anonymous shared memory, so that forked workers
+    write into the caller's pages."""
+    count = math.prod(shape)
+    buffer = mmap.mmap(-1, max(count, 1) * np.dtype(float).itemsize)
+    return np.frombuffer(buffer, dtype=float, count=count).reshape(shape)
+
+
 def run_chains(data: Dataset, family, prior: PriorConfig, config: MCMCConfig) -> PosteriorSamples:
     """Run independent chains from overdispersed starts; fully reproducible.
 
@@ -1126,6 +1302,11 @@ def run_chains(data: Dataset, family, prior: PriorConfig, config: MCMCConfig) ->
     rate; adaptation is frozen afterwards and acceptance counters reset so
     reported rates describe the stationary phase.  Any chain failure aborts
     the run with the chain index and sweep number attached.
+
+    Each chain draws from its own ``SeedSequence.spawn`` stream, so the
+    chains run in parallel forked processes (``config.workers``) with the
+    same draws, bit for bit, as in the calling process.  ``meta`` carries
+    each chain's acceptance rates and a digest of its final state.
     """
     fam = get_family(family)
     data.validate_support(fam)
@@ -1133,53 +1314,18 @@ def run_chains(data: Dataset, family, prior: PriorConfig, config: MCMCConfig) ->
     kernel = _SweepKernel(fam, data, prior, config)
     n, p = data.y.shape
     pairs = kernel.pairs
-    kept = config.retained_per_chain
-
-    s0_out = np.empty((config.chains, kept))
-    c0_out = np.empty((config.chains, kept))
-    edges_out = np.empty((config.chains, kept, len(pairs)))
-    w_out = np.empty((config.chains, kept, n)) if config.keep_latents else None
-    links_out = (
-        np.empty((config.chains, kept, n, len(pairs))) if config.keep_latents else None
+    rows = (config.chains, config.retained_per_chain)
+    latents = config.keep_latents
+    run = _ChainRun(
+        kernel=kernel,
+        seeds=np.random.SeedSequence(config.seed).spawn(config.chains),
+        s0=_shared_empty(rows),
+        c0=_shared_empty(rows),
+        edges=_shared_empty((*rows, len(pairs))),
+        w=_shared_empty((*rows, n)) if latents else None,
+        links=_shared_empty((*rows, n, len(pairs))) if latents else None,
     )
-
-    seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
-    acceptance = []
-    tri = np.array(pairs)
-
-    for m in range(config.chains):
-        rng = np.random.default_rng(seeds[m])
-        t = 0
-        try:
-            state = initial_state(fam, data, prior, config, m, rng)
-            window_start: dict = {}
-            adapt_round = 0
-            keep_idx = 0
-            for t in range(1, config.iterations + 1):
-                kernel.sweep(state, rng)
-                if t <= config.burn_in:
-                    if t % config.adapt_window == 0:
-                        adapt_round += 1
-                        _adapt_block_steps(state, window_start, adapt_round)
-                    if t == config.burn_in:
-                        state.accept = {}
-                elif (t - config.burn_in) % config.thinning == 0:
-                    s0_out[m, keep_idx] = state.s0
-                    c0_out[m, keep_idx] = state.c0
-                    edges_out[m, keep_idx] = state.edges[tri[:, 0], tri[:, 1]]
-                    if config.keep_latents:
-                        w_out[m, keep_idx] = state.w
-                        links_out[m, keep_idx] = state.links[:, tri[:, 0], tri[:, 1]]
-                    keep_idx += 1
-        except Exception as exc:  # noqa: BLE001 - re-raise with chain context
-            raise ChainError(
-                f"chain {m} failed at sweep {t}: {exc}", chain=m, sweep=t
-            ) from exc
-        rates = {
-            name: (c[0] / c[1] if c[1] else float("nan"))
-            for name, c in sorted(state.accept.items())
-        }
-        acceptance.append(rates)
+    results = _run_all(run, _worker_count(config))
 
     meta = {
         "iterations": config.iterations,
@@ -1189,17 +1335,18 @@ def run_chains(data: Dataset, family, prior: PriorConfig, config: MCMCConfig) ->
         "seed": config.seed,
         "n": n,
         "p": p,
-        "acceptance": acceptance,
+        "acceptance": [rates for rates, _ in results],
+        "state_digest": [digest for _, digest in results],
     }
     return PosteriorSamples(
         family=fam.kind,
         node_names=list(data.node_names),
         pairs=pairs,
-        s0=s0_out,
-        c0=c0_out,
-        edges=edges_out,
-        w=w_out,
-        links=links_out,
+        s0=run.s0,
+        c0=run.c0,
+        edges=run.edges,
+        w=run.w,
+        links=run.links,
         meta=meta,
     )
 
