@@ -72,8 +72,8 @@ from .io import (
 )
 from .model import (
     Dataset,
+    Latents,
     ModelParams,
-    ReplicateLatents,
     correlation_matrix,
     log_extended_likelihood,
     marginal_moments,

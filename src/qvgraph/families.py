@@ -564,43 +564,6 @@ def _gsst_log_b(s, c):
     )
 
 
-def gsst_log_link_product_series(s, c, term_tol=1e-12, min_terms=10_000,
-                                 max_terms=200_000_000, chunk=1_000_000):
-    """Reference evaluation of the scaled-Student link product by truncation.
-
-    Sums -log(1 + s**2/(c + 2l)**2) over l until the term magnitude drops
-    below ``term_tol`` (and at least ``min_terms`` terms were used), then adds
-    a midpoint-corrected integral estimate of the remaining tail.  Slow;
-    kept as an independent cross-check of the closed-form evaluation used by
-    :func:`log_b`.
-    """
-    s = float(s)
-    c = float(c)
-    s2 = s * s
-    total = 0.0
-    start = 0
-    while True:
-        stop = start + chunk
-        l = np.arange(start, stop, dtype=float)
-        terms = np.log1p(s2 / (c + 2.0 * l) ** 2)
-        total += float(terms.sum())
-        start = stop
-        if start >= min_terms and terms[-1] < term_tol:
-            break
-        if start >= max_terms:
-            break
-    # integral tail with midpoint correction: sum_{l >= L} ~ s^2/(2(c + 2L - 1))
-    tail = s2 / (2.0 * (c + 2.0 * start - 1.0))
-    total += tail
-    constant = (
-        (c - 2.0) * _LOG_2
-        - math.log(math.pi)
-        - float(special.gammaln(c))
-        + 2.0 * float(special.gammaln(0.5 * c))
-    )
-    return constant - total
-
-
 @functools.lru_cache(maxsize=4096)
 def _gsst_log_h_scalar(s: float, c: float) -> float:
     # After the substitution w = tan(phi) the normalizing integral becomes

@@ -10,6 +10,11 @@ the continuous gamma-type links and all top-level parameters use random-walk
 Metropolis steps on transformed scales with step sizes adapted toward a 0.44
 acceptance rate during burn-in only.
 
+A chain state stores its links (n, P) and edge intensities (P,) by node pair
+in ``node_pairs(p)`` order, as ``Latents`` and ``PosteriorSamples`` do.  The
+node levels s* and c* are s0 and c0 plus the ``node_sums`` of those columns;
+the sweep keeps them current as it updates one pair at a time.
+
 Enumeration builds each replicate's log-mass on a grid anchored at 0 as a
 cumulative sum of the exact log-ratios of successive masses (the families'
 ``log_h_step``/``log_b_step``), so no log-gamma is evaluated.  Binomial links
@@ -53,7 +58,7 @@ from .errors import (
     EnumerationOverflowError,
 )
 from .families import Family, FamilyKind, get_family
-from .model import Dataset, ModelParams, log_joint_likelihood_arrays
+from .model import Dataset, _expect_shape, log_joint_likelihood_arrays, node_pairs, node_sums
 
 __all__ = [
     "NormalS0Prior",
@@ -200,10 +205,8 @@ class PriorConfig:
 
     def log_prior(self, fam: Family, s0: float, c0: float, edges: np.ndarray) -> float:
         total = self.log_c0_prior(c0) + self.s0_prior.logpdf(s0, c0)
-        p = edges.shape[0]
-        for j in range(p):
-            for k in range(j + 1, p):
-                total += self.log_edge_prior(fam, float(edges[j, k]))
+        for c in edges:
+            total += self.log_edge_prior(fam, float(c))
         return total
 
 
@@ -259,6 +262,9 @@ class MCMCConfig:
             raise DomainError("edge_moves must be >= 1")
         if self.workers is not None and self.workers < 1:
             raise DomainError("workers must be >= 1")
+        if self.retained_per_chain < 1:
+            raise DomainError("(iterations - burn_in) // thinning must be >= 1: the "
+                              "chains would retain no draws")
         for name in ("s0", "c0", "edge", "link"):
             if not getattr(self.step_sizes, name) > 0.0:
                 raise DomainError(f"step size {name} must be strictly positive")
@@ -272,8 +278,10 @@ class MCMCConfig:
 class ChainState:
     """Current parameters and latents of one chain.
 
-    ``accept`` maps block names to cumulative [accepted, attempted] counts;
-    ``step_sizes`` holds the current per-block random-walk scales.
+    ``edges`` has shape (P,) and ``links`` (n, P), both in ``node_pairs(p)``
+    order, and ``w`` (n,).  ``accept`` maps block names to cumulative
+    [accepted, attempted] counts; ``step_sizes`` holds the current per-block
+    random-walk scales.
     """
 
     family: FamilyKind
@@ -286,41 +294,26 @@ class ChainState:
     accept: dict = field(default_factory=dict)
     step_sizes: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        edges = self.edges = np.asarray(self.edges, dtype=float)
+        if edges.ndim != 1 or edges.size == 0 or self.p * (self.p - 1) != 2 * edges.size:
+            raise DomainError(f"edges must have shape (P,), P = p(p-1)/2, got {edges.shape}")
+        self.w = np.asarray(self.w, dtype=float)
+        if self.w.ndim != 1:
+            raise DomainError(f"w must have shape (n,), got {self.w.shape}")
+        self.links = _expect_shape("links", self.links, (self.w.size, edges.size))
+
     @property
-    def params(self) -> ModelParams:
-        return ModelParams(
-            family=self.family, s0=self.s0, c0=self.c0, edge_intensity=self.edges.copy()
-        )
+    def p(self) -> int:
+        """Number of nodes, from the P = p(p-1)/2 edge intensities."""
+        return (1 + math.isqrt(1 + 8 * self.edges.shape[0])) // 2
 
     def counter(self, name: str) -> list:
         return self.accept.setdefault(name, [0, 0])
 
 
-def _pairs(p: int) -> list[tuple[int, int]]:
-    return [(j, k) for j in range(p) for k in range(j + 1, p)]
-
-
 def _edge_label(j: int, k: int) -> str:
     return f"c_{j + 1}_{k + 1}"
-
-
-# ---------------------------------------------------------------------------
-# Data summaries shared by the conditionals
-# ---------------------------------------------------------------------------
-
-class _Precomp:
-    """Per-dataset quantities reused across sweeps."""
-
-    def __init__(self, fam: Family, data: Dataset):
-        self.fam = fam
-        self.y = data.y
-        self.n, self.p = data.y.shape
-        self.theta_y = np.asarray(fam.theta(data.y), dtype=float)
-        self.m_y = np.asarray(fam.cumulant(data.y), dtype=float)
-        self.theta_y_total = float(self.theta_y.sum())
-        self.m_y_total = float(self.m_y.sum())
-        self.m_y_node = self.m_y.sum(axis=0)
-        self.pairs = _pairs(self.p)
 
 
 # ---------------------------------------------------------------------------
@@ -353,30 +346,23 @@ def log_full_conditional_s0(state: ChainState, data: Dataset, prior: PriorConfig
                             s0_candidate: float) -> float:
     """Log full conditional of s0 (up to an additive constant); -inf outside
     the admissible region."""
-    fam = get_family(state.family)
-    pre = _Precomp(fam, data)
-    link_rowsum = state.links.sum(axis=2)
-    c_star = state.c0 + state.edges.sum(axis=1)
-    theta_total = pre.theta_y_total + float(np.sum(fam.theta(state.w)))
-    return _cond_s0_core(
-        fam, prior, float(s0_candidate), state.c0, c_star, link_rowsum, pre.n, theta_total
-    )
+    kernel = _SweepKernel(get_family(state.family), data, prior, MCMCConfig())
+    s_star, theta_w, c_star = kernel._link_block_terms(state)
+    theta_total = kernel.theta_y_total + float(np.sum(theta_w))
+    return _cond_s0_core(kernel.fam, prior, float(s0_candidate), state.c0, c_star,
+                         s_star - state.s0, kernel.n, theta_total)
 
 
 def log_full_conditional_c0(state: ChainState, data: Dataset, prior: PriorConfig,
                             c0_candidate: float) -> float:
     """Log full conditional of c0; -inf for nonpositive candidates (and for
     candidates not exceeding s0 in the beta family)."""
-    fam = get_family(state.family)
-    pre = _Precomp(fam, data)
-    edge_rowsum = state.edges.sum(axis=1)
-    s_star = state.s0 + state.links.sum(axis=2)
-    h_stat = [fam.h_summary(s_star[:, node]) for node in range(pre.p)]
-    m_total = pre.m_y_total + float(np.sum(fam.cumulant(state.w)))
-    return _cond_c0_core(
-        fam, prior, float(c0_candidate), state.s0, h_stat, fam.h_summary(np.array([state.s0])),
-        edge_rowsum, pre.n, m_total,
-    )
+    kernel = _SweepKernel(get_family(state.family), data, prior, MCMCConfig())
+    s_star, _, c_star = kernel._link_block_terms(state)
+    terms = kernel._edge_terms(state, s_star, c_star)
+    return _cond_c0_core(kernel.fam, prior, float(c0_candidate), state.s0, terms.h_stat,
+                         terms.h_s0, c_star - state.c0, kernel.n,
+                         kernel.m_y_total + terms.m_w_total)
 
 
 def log_full_conditional_cjk(state: ChainState, data: Dataset, prior: PriorConfig,
@@ -388,8 +374,7 @@ def log_full_conditional_cjk(state: ChainState, data: Dataset, prior: PriorConfi
         raise IndexError("edge conditional requires two distinct nodes")
     j, k = min(j, k), max(j, k)
     kernel = _SweepKernel(get_family(state.family), data, prior, MCMCConfig())
-    s_star = state.s0 + state.links.sum(axis=2)
-    c_star = state.c0 + state.edges.sum(axis=1)
+    s_star, _, c_star = kernel._link_block_terms(state)
     return kernel._pair_log_ratio(state, j, k, s_star, c_star, float(c_candidate), None,
                                   kernel._w_terms(state))
 
@@ -486,25 +471,27 @@ class _EdgeTerms:
     s* and c*.
 
     theta(w) and sum M(w) are fixed in the edge block.  ``h_node[j]`` is
-    sum_i log h(s*_ij, c*_j), ``b_pair[j, k]`` is sum_i log b(S_ijk, c_jk) and
-    ``lp_pair[j, k]`` the log edge prior of c_jk: the current side of every
-    move's ratio, which changes only when a move is accepted.  ``h_stat[j]``
-    and ``b_stat[j, k]`` are the family's summaries of s*_j and S_jk that give
-    those sums at any intensity; ``h_s0`` summarizes [s0] for the c0 step.
+    sum_i log h(s*_ij, c*_j), ``b_pair[e]`` is sum_i log b(S_ie, c_e) and
+    ``lp_pair[e]`` the log edge prior of c_e, for the pair in column e: the
+    current side of every move's ratio, which changes only when a move is
+    accepted.  ``h_stat[j]`` and ``b_stat[e]`` are the family's summaries of
+    s*_j and S_e that give those sums at any intensity; ``h_s0`` summarizes
+    [s0] for the c0 step.
     """
 
     theta_w: np.ndarray
     m_w_total: float
     h_node: list
-    b_pair: dict
-    lp_pair: dict
+    b_pair: list
+    lp_pair: list
     h_stat: list
-    b_stat: dict
+    b_stat: list
     h_s0: object
 
 
 class _SweepKernel:
-    """One-dataset sampler machinery shared by all chains."""
+    """One-dataset sampler machinery shared by all chains, with the data
+    summaries theta(y) and M(y) that every sweep reuses."""
 
     def __init__(self, fam: Family, data: Dataset, prior: PriorConfig, config: MCMCConfig):
         if fam.kind is FamilyKind.GSST:
@@ -514,10 +501,14 @@ class _SweepKernel:
         self.data = data
         self.prior = prior
         self.config = config
-        self.pre = _Precomp(fam, data)
-        self.n = self.pre.n
-        self.p = self.pre.p
-        self.pairs = self.pre.pairs
+        self.n, self.p = data.y.shape
+        self.theta_y = np.asarray(fam.theta(data.y), dtype=float)
+        m_y = np.asarray(fam.cumulant(data.y), dtype=float)
+        self.theta_y_total = float(self.theta_y.sum())
+        self.m_y_total = float(m_y.sum())
+        self.m_y_node = m_y.sum(axis=0)
+        self.pairs = node_pairs(self.p)
+        self.column = {pair: e for e, pair in enumerate(self.pairs)}  # pair -> its column
 
     # -- block IV: one pair of link values across all replicates -----------
     def _link_block_terms(self, state: ChainState):
@@ -526,10 +517,9 @@ class _SweepKernel:
         The anchors and the intensities do not change within the block, so
         theta(w) and c* are computed once; the pair updates keep s* current.
         """
-        s_star = state.s0 + state.links.sum(axis=2)
-        theta_w = np.asarray(self.fam.theta(state.w), dtype=float)
-        c_node = [state.c0 + state.edges[:, j].sum() for j in range(self.p)]
-        return s_star, theta_w, c_node
+        return (state.s0 + node_sums(state.links, self.p),
+                np.asarray(self.fam.theta(state.w), dtype=float),
+                state.c0 + node_sums(state.edges, self.p))
 
     def _pair_terms(self, state: ChainState, j, k, s_star, theta_w, c_node, sel):
         """Inputs of the link conditionals of pair (j, k) on rows ``sel``.
@@ -538,8 +528,8 @@ class _SweepKernel:
         without them, the node intensities cj, ck and
         t_sum = theta(y_j) + theta(y_k) + theta(w).
         """
-        cur = np.array(state.links[sel, j, k], dtype=float)  # snapshot, not a view
-        t_sum = self.pre.theta_y[sel, j] + self.pre.theta_y[sel, k] + theta_w[sel]
+        cur = np.array(state.links[sel, self.column[j, k]], dtype=float)  # a snapshot
+        t_sum = self.theta_y[sel, j] + self.theta_y[sel, k] + theta_w[sel]
         return cur, s_star[sel, j] - cur, s_star[sel, k] - cur, c_node[j], c_node[k], t_sum
 
     def _enumerate_links(self, j, k, c_jk, a_j, a_k, cj, ck, t_sum, sel):
@@ -574,7 +564,8 @@ class _SweepKernel:
     def _update_links_pair(self, state: ChainState, j, k, rng, s_star, theta_w, c_node,
                            idx=None):
         fam = self.fam
-        c_jk = float(state.edges[j, k])
+        col = self.column[j, k]
+        c_jk = float(state.edges[col])
         if c_jk == 0.0:
             return
         sel = slice(None) if idx is None else idx
@@ -630,8 +621,7 @@ class _SweepKernel:
             raise DomainError(f"no link conditional for family {fam.kind.value}")
 
         delta_s = new - orig
-        state.links[sel, j, k] = new
-        state.links[sel, k, j] = new
+        state.links[sel, col] = new
         s_star[sel, j] += delta_s
         s_star[sel, k] += delta_s
 
@@ -654,12 +644,12 @@ class _SweepKernel:
         fam, edges, links = self.fam, state.edges, state.links
         theta_w, m_w_total = self._w_terms(state) if w_terms is None else w_terms
         h_stat = [fam.h_summary(s_star[:, node]) for node in range(self.p)]
-        b_stat = {(j, k): fam.b_summary(links[:, j, k]) for j, k in self.pairs}
+        b_stat = [fam.b_summary(links[:, e]) for e in range(edges.size)]
         return _EdgeTerms(
             theta_w, m_w_total,
             [fam.log_h_sum(h_stat[node], c_star[node]) for node in range(self.p)],
-            {pair: fam.log_b_sum(b_stat[pair], float(edges[pair])) for pair in self.pairs},
-            {pair: self.prior.log_edge_prior(fam, float(edges[pair])) for pair in self.pairs},
+            [fam.log_b_sum(stat, float(c)) for stat, c in zip(b_stat, edges)],
+            [self.prior.log_edge_prior(fam, float(c)) for c in edges],
             h_stat, b_stat, fam.h_summary(np.array([state.s0])),
         )
 
@@ -671,7 +661,7 @@ class _SweepKernel:
         Such a move changes only the node levels j and k, the pair's link
         level and its edge prior.  Each node adds
         sum_i [log h(s*', c*') - log h(s*, c*)] + theta(y)·dS - dc·sum M(y),
-        where the Jacobian cancels and theta(y), M(y) come from ``_Precomp``.
+        where the Jacobian cancels and theta(y), M(y) are the kernel's.
         With ``link_level`` the link level adds
         sum_i [log b(S', c') - log b(S, c)] + theta(w)·dS - dc·sum M(w), as for
         a move that keeps or rescales the links.  Only the candidate side is
@@ -683,34 +673,34 @@ class _SweepKernel:
         (log b sum, b summary) or None without the link level, log edge
         prior)); (-inf, None) outside the support.
         """
-        fam, pre = self.fam, self.pre
+        fam, col = self.fam, self.column[j, k]
         lp_new = self.prior.log_edge_prior(fam, new_c)
-        links = state.links[:, j, k] if new_s is None else new_s
+        links = state.links[:, col] if new_s is None else new_s
         if not math.isfinite(lp_new) or (
             fam.kind is FamilyKind.BETA and np.any(links > new_c)
         ):
             return _NEG_INF, None
-        d_c = new_c - float(state.edges[j, k])
-        d_s = None if new_s is None else new_s - state.links[:, j, k]
-        total = lp_new - terms.lp_pair[j, k]
+        d_c = new_c - float(state.edges[col])
+        d_s = None if new_s is None else new_s - state.links[:, col]
+        total = lp_new - terms.lp_pair[col]
         h_new = []
         for node in (j, k):
             if d_s is None:
                 stat, dot = terms.h_stat[node], 0.0
             else:
                 stat = fam.h_summary(s_star[:, node] + d_s)
-                dot = float(pre.theta_y[:, node] @ d_s)
+                dot = float(self.theta_y[:, node] @ d_s)
             h = fam.log_h_sum(stat, c_star[node] + d_c)
-            total += (h - terms.h_node[node]) + dot - d_c * pre.m_y_node[node]
+            total += (h - terms.h_node[node]) + dot - d_c * self.m_y_node[node]
             h_new.append((h, stat))
         b_new = None
         if link_level:
             if d_s is None:
-                stat, dot = terms.b_stat[j, k], 0.0
+                stat, dot = terms.b_stat[col], 0.0
             else:
                 stat, dot = fam.b_summary(new_s), float(terms.theta_w @ d_s)
             b = fam.log_b_sum(stat, new_c)
-            total += (b - terms.b_pair[j, k]) + dot - d_c * terms.m_w_total
+            total += (b - terms.b_pair[col]) + dot - d_c * terms.m_w_total
             b_new = (b, stat)
         return total, (h_new[0], h_new[1], b_new, lp_new)
 
@@ -729,35 +719,38 @@ class _SweepKernel:
 
     def _commit_pair(self, state: ChainState, j, k, s_star, c_star, new_c, new_s,
                      terms=None, cand=None):
-        """Write edge (j, k) and its links with their mirrors; keep s*, c* current.
+        """Write edge (j, k) and its links; keep s*, c* current.
 
         ``new_s=None`` keeps the links.  s*, c* take the candidate's own
         additions, so the candidate sums and summaries ``cand`` stored into
         ``terms`` are the values a recomputation would give; a candidate
         without the link level (the refresh) has its sum computed here.
         """
-        d_c = new_c - float(state.edges[j, k])
-        state.edges[j, k] = state.edges[k, j] = new_c
+        col = self.column[j, k]
+        d_c = new_c - float(state.edges[col])
+        state.edges[col] = new_c
         c_star[j] += d_c
         c_star[k] += d_c
         if new_s is not None:
-            d_s = new_s - state.links[:, j, k]
-            state.links[:, j, k] = state.links[:, k, j] = new_s
+            d_s = new_s - state.links[:, col]
+            state.links[:, col] = new_s
             s_star[:, j] += d_s
             s_star[:, k] += d_s
         if terms is not None:
             (h_j, stat_j), (h_k, stat_k), b_new, lp_new = cand
             if b_new is None:
-                stat = self.fam.b_summary(state.links[:, j, k])
+                stat = self.fam.b_summary(state.links[:, col])
                 b_new = (self.fam.log_b_sum(stat, new_c), stat)
             terms.h_node[j], terms.h_node[k] = h_j, h_k
             terms.h_stat[j], terms.h_stat[k] = stat_j, stat_k
-            terms.b_pair[j, k], terms.b_stat[j, k] = b_new
-            terms.lp_pair[j, k] = lp_new
+            terms.b_pair[col], terms.b_stat[col] = b_new
+            terms.lp_pair[col] = lp_new
 
-    def _propose_intensity(self, state: ChainState, name, cur, rng):
-        """Random-walk proposal for an edge intensity and its log Jacobian:
-        a step of +-1 for integer intensities, a log-scale step otherwise."""
+    def _propose_intensity(self, state: ChainState, name, col, rng):
+        """Random-walk proposal for the edge intensity in column ``col`` and its
+        log Jacobian: a step of +-1 for integer intensities, a log-scale step
+        otherwise."""
+        cur = float(state.edges[col])
         if self.fam.integer_intensity:
             return cur + (1.0 if rng.random() < 0.5 else -1.0), 0.0
         prop = cur * math.exp(rng.normal(0.0, state.step_sizes[name]))
@@ -767,7 +760,7 @@ class _SweepKernel:
         # Random walk on the intensity alone; the links are held fixed.
         name = f"edge_{j + 1}_{k + 1}"
         counter = state.counter(name)
-        new_c, jac = self._propose_intensity(state, name, float(state.edges[j, k]), rng)
+        new_c, jac = self._propose_intensity(state, name, self.column[j, k], rng)
         counter[1] += 1
         ratio, cand = self._pair_candidate(state, j, k, s_star, c_star, new_c, None, terms)
         if ratio == _NEG_INF:
@@ -786,7 +779,7 @@ class _SweepKernel:
         fam = self.fam
         name = f"refresh_{j + 1}_{k + 1}"
         counter = state.counter(name)
-        new_c, jac = self._propose_intensity(state, name, float(state.edges[j, k]), rng)
+        new_c, jac = self._propose_intensity(state, name, self.column[j, k], rng)
         counter[1] += 1
         if not math.isfinite(self.prior.log_edge_prior(fam, new_c)):
             return  # checked before the links are drawn, which uses the rng
@@ -810,8 +803,9 @@ class _SweepKernel:
         counter = state.counter(name)
         eps = rng.normal(0.0, state.step_sizes[name])
         factor = math.exp(eps)
-        new_c = float(state.edges[j, k]) * factor
-        new_s = state.links[:, j, k] * factor
+        col = self.column[j, k]
+        new_c = float(state.edges[col]) * factor
+        new_s = state.links[:, col] * factor
         counter[1] += 1
         ratio, cand = self._pair_candidate(state, j, k, s_star, c_star, new_c, new_s, terms)
         if ratio == _NEG_INF:
@@ -830,7 +824,7 @@ class _SweepKernel:
         prop = cur * math.exp(rng.normal(0.0, step))
         counter[1] += 1
         args = (state.s0, terms.h_stat, terms.h_s0, edge_rowsum, self.n,
-                self.pre.m_y_total + terms.m_w_total)
+                self.m_y_total + terms.m_w_total)
         lo = _cond_c0_core(self.fam, self.prior, prop, *args)
         if lo == _NEG_INF:
             return
@@ -845,7 +839,7 @@ class _SweepKernel:
         counter = state.counter("s0")
         step = state.step_sizes["s0"]
         cur = state.s0
-        theta_total = self.pre.theta_y_total + theta_w_total
+        theta_total = self.theta_y_total + theta_w_total
         counter[1] += 1
 
         if isinstance(self.prior.s0_prior, NormalS0Prior):
@@ -874,12 +868,11 @@ class _SweepKernel:
     # -- full systematic scan ------------------------------------------------------
     def sweep(self, state: ChainState, rng):
         fam = self.fam
-        s_star, theta_w, c_node = self._link_block_terms(state)
+        s_star, theta_w, c_star = self._link_block_terms(state)
         for j, k in self.pairs:
-            self._update_links_pair(state, j, k, rng, s_star, theta_w, c_node)
+            self._update_links_pair(state, j, k, rng, s_star, theta_w, c_star)
         self._update_anchors(state, rng)
 
-        c_star = state.c0 + state.edges.sum(axis=1)
         terms = self._edge_terms(state, s_star, c_star)
         scaling = not fam.discrete_links
         for j, k in self.pairs:
@@ -889,7 +882,7 @@ class _SweepKernel:
                     self._update_edge_scale(state, j, k, rng, s_star, c_star, terms)
                 self._update_edge_refresh(state, j, k, rng, s_star, c_star, terms)
 
-        edge_rowsum = state.edges.sum(axis=1)
+        edge_rowsum = node_sums(state.edges, self.p)
         self._update_c0(state, rng, terms, edge_rowsum)
 
         c_star = state.c0 + edge_rowsum
@@ -908,7 +901,7 @@ class _SweepKernel:
 
 def _default_steps(config: MCMCConfig, p: int) -> dict:
     steps = {"s0": config.step_sizes.s0, "c0": config.step_sizes.c0}
-    for j, k in _pairs(p):
+    for j, k in node_pairs(p):
         steps[f"edge_{j + 1}_{k + 1}"] = config.step_sizes.edge
         steps[f"link_{j + 1}_{k + 1}"] = config.step_sizes.link
         steps[f"scale_{j + 1}_{k + 1}"] = config.step_sizes.edge
@@ -918,12 +911,12 @@ def _default_steps(config: MCMCConfig, p: int) -> dict:
 
 def _ensure_steps(state: ChainState, config: MCMCConfig):
     if not state.step_sizes:
-        state.step_sizes = _default_steps(config, state.edges.shape[0])
+        state.step_sizes = _default_steps(config, state.p)
 
 
 def sample_link_conditional(state: ChainState, data: Dataset, i: int, j: int, k: int,
                             rng, config: MCMCConfig | None = None) -> float:
-    """Redraw the link value of replicate i on edge (j, k), mirroring it.
+    """Redraw the link value of replicate i on edge (j, k).
 
     Exact for normal (completed square) and binomial links, adaptive
     enumeration for Poisson/negative-binomial links, random-walk Metropolis
@@ -932,19 +925,20 @@ def sample_link_conditional(state: ChainState, data: Dataset, i: int, j: int, k:
     config = config or MCMCConfig()
     kernel = _SweepKernel(get_family(state.family), data, PriorConfig.default_for(state.family), config)
     _ensure_steps(state, config)
-    if float(state.edges[j, k]) <= 0.0:
+    j, k = min(j, k), max(j, k)
+    col = kernel.column[j, k]
+    if float(state.edges[col]) <= 0.0:
         raise DomainError("link conditional requires a positive edge intensity")
-    kernel._update_links_pair(state, min(j, k), max(j, k), rng,
-                              *kernel._link_block_terms(state), idx=np.array([i]))
-    return float(state.links[i, j, k])
+    kernel._update_links_pair(state, j, k, rng, *kernel._link_block_terms(state),
+                              idx=np.array([i]))
+    return float(state.links[i, col])
 
 
 def _anchor_params(state: ChainState):
     """Parameters of the anchors' conjugate conditionals: s0 plus each
-    replicate's link total, and c0 plus the edge total."""
-    tri = np.triu_indices(state.edges.shape[0], k=1)
-    s_i = state.s0 + state.links[:, tri[0], tri[1]].sum(axis=1)
-    return s_i, state.c0 + float(state.edges[tri].sum())
+    replicate's link total, added pair after pair, and c0 plus the edge total."""
+    link_total = np.cumsum(state.links, axis=1)[:, -1]
+    return state.s0 + link_total, state.c0 + float(state.edges.sum())
 
 
 def sample_w_conditional(state: ChainState, data: Dataset, i: int, rng) -> float:
@@ -969,12 +963,11 @@ def link_conditional_pmf(state: ChainState, data: Dataset, i: int, j: int, k: in
     fam = get_family(state.family)
     if not fam.discrete_links:
         raise DomainError(f"{fam.kind.value}: link conditional is not discrete")
-    if j > k:
-        j, k = k, j
-    c_jk = float(state.edges[j, k])
+    j, k = min(j, k), max(j, k)
+    kernel = _SweepKernel(fam, data, PriorConfig.default_for(fam), config)
+    c_jk = float(state.edges[kernel.column[j, k]])
     if c_jk <= 0.0:
         raise DomainError("link conditional requires a positive edge intensity")
-    kernel = _SweepKernel(fam, data, PriorConfig.default_for(fam), config)
     sel = np.array([i])
     _, *terms = kernel._pair_terms(state, j, k, *kernel._link_block_terms(state), sel)
     values, g = kernel._enumerate_links(j, k, c_jk, *terms, sel)
@@ -994,7 +987,7 @@ def link_conditional_normal_coeffs(state: ChainState, data: Dataset, i: int, j: 
     j, k = min(j, k), max(j, k)
     kernel = _SweepKernel(fam, data, PriorConfig.default_for(fam), MCMCConfig())
     _, *terms = kernel._pair_terms(state, j, k, *kernel._link_block_terms(state), np.array([i]))
-    mean, sd = _normal_link_moments(float(state.edges[j, k]), *terms)
+    mean, sd = _normal_link_moments(float(state.edges[kernel.column[j, k]]), *terms)
     return float(mean[0]), float(sd)
 
 
@@ -1058,21 +1051,14 @@ def initial_state(family, data: Dataset, prior: PriorConfig, config: MCMCConfig,
         else:
             edge0 *= factor()
 
-    edges = np.full((p, p), float(edge0))
-    np.fill_diagonal(edges, 0.0)
-
+    edges = np.full(p * (p - 1) // 2, float(edge0))
     w = np.asarray(fam.sample_w(s0, c0, rng, size=n), dtype=float)
-    links = np.zeros((n, p, p))
-    for j, k in _pairs(p):
-        draw = np.asarray(fam.sample_link(w, edges[j, k], rng), dtype=float)
-        links[:, j, k] = draw
-        links[:, k, j] = draw
+    links = np.empty((n, edges.size))
+    for e, c in enumerate(edges):
+        links[:, e] = fam.sample_link(w, c, rng)
 
-    state = ChainState(
-        family=fam.kind, s0=float(s0), c0=float(c0), edges=edges, w=w, links=links,
-        step_sizes=_default_steps(config, p),
-    )
-    return state
+    return ChainState(family=fam.kind, s0=float(s0), c0=float(c0), edges=edges, w=w,
+                      links=links, step_sizes=_default_steps(config, p))
 
 
 def _adapt_block_steps(state: ChainState, window_start: dict, round_index: int,
@@ -1139,10 +1125,8 @@ class PosteriorSamples:
         """Posterior-mean edge intensities as a symmetric matrix."""
         p = len(self.node_names)
         out = np.zeros((p, p))
-        means = self.edges.reshape(-1, len(self.pairs)).mean(axis=0)
-        for idx, (j, k) in enumerate(self.pairs):
-            out[j, k] = out[k, j] = means[idx]
-        return out
+        out[tuple(np.array(self.pairs).T)] = self.edges.reshape(-1, len(self.pairs)).mean(axis=0)
+        return out + out.T
 
 
 @dataclass(frozen=True)
@@ -1175,7 +1159,6 @@ def _run_chain(run: _ChainRun, m: int) -> tuple[dict, str]:
     """
     kernel = run.kernel
     config = kernel.config
-    tri = np.array(kernel.pairs)
     rng = np.random.default_rng(run.seeds[m])
     t = 0
     try:
@@ -1194,10 +1177,10 @@ def _run_chain(run: _ChainRun, m: int) -> tuple[dict, str]:
             elif (t - config.burn_in) % config.thinning == 0:
                 run.s0[m, keep_idx] = state.s0
                 run.c0[m, keep_idx] = state.c0
-                run.edges[m, keep_idx] = state.edges[tri[:, 0], tri[:, 1]]
+                run.edges[m, keep_idx] = state.edges
                 if config.keep_latents:
                     run.w[m, keep_idx] = state.w
-                    run.links[m, keep_idx] = state.links[:, tri[:, 0], tri[:, 1]]
+                    run.links[m, keep_idx] = state.links
                 keep_idx += 1
     except Exception as exc:  # noqa: BLE001 - re-raise with chain context
         raise ChainError(
@@ -1408,22 +1391,15 @@ def predictive_mse(samples: PosteriorSamples, data: Dataset, rng) -> float:
     """
     if samples.links is None:
         raise DomainError("predictive_mse requires samples retained with latents")
+    if samples.retained == 0:
+        raise DomainError("predictive_mse requires at least one retained draw")
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     fam = get_family(samples.family)
-    n, p = data.y.shape
-    pairs = samples.pairs
-    incidence = np.zeros((len(pairs), p))
-    for idx, (j, k) in enumerate(pairs):
-        incidence[idx, j] = 1.0
-        incidence[idx, k] = 1.0
-
     total = 0.0
-    count = 0
     for m in range(samples.chains):
         for t in range(samples.retained):
-            s_star = samples.s0[m, t] + samples.links[m, t] @ incidence
-            c_star = samples.c0[m, t] + samples.edges[m, t] @ incidence
+            s_star = samples.s0[m, t] + node_sums(samples.links[m, t], data.p)
+            c_star = samples.c0[m, t] + node_sums(samples.edges[m, t], data.p)
             yf = np.asarray(fam.sample_w(s_star, c_star[None, :], rng), dtype=float)
             total += float(np.mean((yf - data.y) ** 2))
-            count += 1
-    return total / count
+    return total / (samples.chains * samples.retained)

@@ -7,10 +7,17 @@ each node observation Y_j is drawn from the level density under the updated
 parameters s_j* = s0 + sum_k S_jk and c_j* = c0 + sum_k c_jk.  Marginally
 every node is distributed like W, and the pairwise correlations have a closed
 form in c0 and the edge intensities.
+
+Links and fitted edge intensities are stored by node pair: a replicate's
+links are one row of an (n, P) array and the intensities a (P,) vector, with
+P = p(p-1)/2 columns in ``node_pairs(p)`` order, (0, 1), (0, 2), ..., (p-2, p-1).
+``node_sums`` turns such columns into the per-node sums that the node levels
+take, sum_k S_jk and sum_k c_jk, adding node j's pairs in increasing k.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +31,10 @@ from .families import Family, FamilyKind, get_family
 
 __all__ = [
     "ModelParams",
-    "ReplicateLatents",
+    "Latents",
     "Dataset",
+    "node_pairs",
+    "node_sums",
     "simulate",
     "marginal_moments",
     "pairwise_correlation",
@@ -33,6 +42,38 @@ __all__ = [
     "precision_check_3x3",
     "log_extended_likelihood",
 ]
+
+
+def node_pairs(p: int) -> list[tuple[int, int]]:
+    """The node pairs (j, k), j < k, in the column order of every pair axis."""
+    return [(j, k) for j in range(p) for k in range(j + 1, p)]
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_columns(p: int) -> np.ndarray:
+    """(p, p - 1): row j holds the columns of node j's pairs, which
+    ``node_pairs`` lists in increasing order of the other node."""
+    pairs = node_pairs(p)
+    return np.array([[e for e, pair in enumerate(pairs) if j in pair] for j in range(p)])
+
+
+def node_sums(values: np.ndarray, p: int) -> np.ndarray:
+    """Per-node sums of pair-indexed values, shape (..., P) to (..., p).
+
+    Node j adds the values of its pairs one after another in increasing
+    order of the other node (a cumulative sum never reorders), as a row sum
+    of the symmetric p x p matrix does below 8 nodes.
+    """
+    terms = np.asarray(values, dtype=float)[..., _pair_columns(p)]
+    return np.cumsum(terms, axis=-1)[..., -1]
+
+
+def _expect_shape(name: str, value, shape: tuple) -> np.ndarray:
+    """``value`` as a float array; DomainError naming ``shape`` if it has another."""
+    array = np.asarray(value, dtype=float)
+    if array.shape != shape:
+        raise DomainError(f"{name} must have shape {shape}, got {array.shape}")
+    return array
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -87,12 +128,19 @@ class ModelParams:
         """Per-node total incident intensity, sum_k c_jk."""
         return self.edge_intensity.sum(axis=1)
 
+    @property
+    def edges(self) -> np.ndarray:
+        """The edge intensities as a (P,) vector in ``node_pairs`` order."""
+        j, k = np.array(node_pairs(self.p)).T
+        return self.edge_intensity[j, k]
+
 
 @dataclass
-class ReplicateLatents:
-    """Latents of one replicate: the anchor value and the symmetric link matrix."""
+class Latents:
+    """Latents of n replicates: the anchors ``w``, shape (n,), and the links,
+    shape (n, P) in ``node_pairs`` order."""
 
-    w: float
+    w: np.ndarray
     links: np.ndarray
 
 
@@ -141,10 +189,10 @@ class Dataset:
             )
 
 
-def simulate(params: ModelParams, n: int, rng) -> tuple[Dataset, list[ReplicateLatents]]:
+def simulate(params: ModelParams, n: int, rng) -> tuple[Dataset, Latents]:
     """Draw n replicates from the three-level construction.
 
-    Returns the dataset and the per-replicate latents.  Vectorized across
+    Returns the dataset and the replicates' latents.  Vectorized across
     replicates; deterministic given the seed or Generator.
     """
     if n < 1:
@@ -152,27 +200,22 @@ def simulate(params: ModelParams, n: int, rng) -> tuple[Dataset, list[ReplicateL
     rng = _as_rng(rng)
     fam = get_family(params.family)
     p = params.p
-    c = params.edge_intensity
+    edges = params.edges
 
     w = np.asarray(fam.sample_w(params.s0, params.c0, rng, size=n), dtype=float)
-    links = np.zeros((n, p, p), dtype=float)
-    for j in range(p):
-        for k in range(j + 1, p):
-            if c[j, k] == 0.0:
-                continue  # degenerate link: S_jk = 0 with probability one
-            draw = np.asarray(fam.sample_link(w, c[j, k], rng), dtype=float)
-            links[:, j, k] = draw
-            links[:, k, j] = draw
+    links = np.zeros((n, edges.size), dtype=float)
+    for e, c in enumerate(edges):
+        if c == 0.0:
+            continue  # degenerate link: S_jk = 0 with probability one
+        links[:, e] = fam.sample_link(w, c, rng)
 
-    s_star = params.s0 + links.sum(axis=2)
+    s_star = params.s0 + node_sums(links, p)
     c_star = params.c0 + params.row_sums
     y = np.empty((n, p), dtype=float)
     for j in range(p):
         y[:, j] = fam.sample_w(s_star[:, j], c_star[j], rng)
 
-    data = Dataset(y=y)
-    latents = [ReplicateLatents(w=float(w[i]), links=links[i]) for i in range(n)]
-    return data, latents
+    return Dataset(y=y), Latents(w=w, links=links)
 
 
 def marginal_moments(params: ModelParams) -> tuple[float, float]:
@@ -237,42 +280,25 @@ def precision_check_3x3(params: ModelParams) -> tuple[float, np.ndarray]:
     return float(d), (params.c0 / d) * cof
 
 
-def _latents_arrays(params: ModelParams, latents) -> tuple[np.ndarray, np.ndarray]:
-    p = params.p
-    n = len(latents)
-    w = np.empty(n, dtype=float)
-    links = np.empty((n, p, p), dtype=float)
-    for i, lat in enumerate(latents):
-        w[i] = lat.w
-        l = np.asarray(lat.links, dtype=float)
-        if l.shape != (p, p):
-            raise DomainError(f"replicate {i}: link matrix shape {l.shape} != ({p}, {p})")
-        if not np.array_equal(l, l.T):
-            raise DomainError(f"replicate {i}: link matrix must be symmetric")
-        links[i] = l
-    return w, links
-
-
 def log_joint_likelihood_arrays(fam: Family, y, w, links, s0, c0, edges) -> float:
-    """Extended log likelihood on raw arrays; -inf on any support violation."""
+    """Extended log likelihood on raw arrays, links (n, P) and edges (P,);
+    -inf on any support violation."""
     neg_inf = float("-inf")
     if not (np.all(fam.in_mean_space(w)) and np.all(fam.in_mean_space(y))):
         return neg_inf
-    n, p = y.shape
+    p = y.shape[1]
     total = 0.0
-    for j in range(p):
-        for k in range(j + 1, p):
-            c = edges[j, k]
-            s = links[:, j, k]
-            if c == 0.0:
-                if np.any(s != 0.0):
-                    return neg_inf
-                continue
-            if not np.all(fam.in_link_support(s, c)):
+    for e, c in enumerate(edges):
+        s = links[:, e]
+        if c == 0.0:
+            if np.any(s != 0.0):
                 return neg_inf
-            total += float(np.sum(fam.log_link_density(s, w, c)))
-    s_star = s0 + links.sum(axis=2)
-    c_star = c0 + edges.sum(axis=1)
+            continue
+        if not np.all(fam.in_link_support(s, c)):
+            return neg_inf
+        total += float(np.sum(fam.log_link_density(s, w, c)))
+    s_star = s0 + node_sums(links, p)
+    c_star = c0 + node_sums(edges, p)
     if fam.kind is FamilyKind.BETA and not np.all(s_star < c_star[None, :]):
         return neg_inf
     total += float(np.sum(fam.log_w_density(y, s_star, c_star[None, :])))
@@ -280,7 +306,7 @@ def log_joint_likelihood_arrays(fam: Family, y, w, links, s0, c0, edges) -> floa
     return total
 
 
-def log_extended_likelihood(params: ModelParams, data: Dataset, latents) -> float:
+def log_extended_likelihood(params: ModelParams, data: Dataset, latents: Latents) -> float:
     """Joint log density of observations and latents under the model.
 
     Returns -inf when any latent or observed value violates its support
@@ -288,10 +314,8 @@ def log_extended_likelihood(params: ModelParams, data: Dataset, latents) -> floa
     """
     if data.p != params.p:
         raise DomainError("dataset and parameters disagree on the number of nodes")
-    if len(latents) != data.n:
-        raise DomainError("one set of latents is required per replicate")
-    fam = get_family(params.family)
-    w, links = _latents_arrays(params, latents)
-    return log_joint_likelihood_arrays(
-        fam, data.y, w, links, params.s0, params.c0, params.edge_intensity
-    )
+    edges = params.edges
+    w = _expect_shape("latent anchors w", latents.w, (data.n,))
+    links = _expect_shape("latent links", latents.links, (data.n, edges.size))
+    return log_joint_likelihood_arrays(get_family(params.family), data.y, w, links,
+                                       params.s0, params.c0, edges)

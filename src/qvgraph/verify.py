@@ -162,9 +162,10 @@ def scipy_link_logpdf(family, s, w, c):
 def scipy_log_joint(family, y, w, links, s0, c0, edges, prior: PriorConfig) -> float:
     """Joint log density of data, latents, and parameters via scipy.stats.
 
-    Recomposes the three hierarchy levels and the priors from named
-    distributions; shares nothing with the package's own density code beyond
-    the family tags.
+    ``links`` (n, P) and ``edges`` (P,) hold one column per node pair (j, k),
+    j < k, in row-major order.  Recomposes the three hierarchy levels and the
+    priors from named distributions; shares nothing with the package's own
+    density code beyond the family tags.
     """
     kind = get_family(family).kind
     n, p = y.shape
@@ -184,11 +185,12 @@ def scipy_log_joint(family, y, w, links, s0, c0, edges, prior: PriorConfig) -> f
         raise DomainError(f"no scipy joint for family {kind.value}")
 
     total += float(np.sum(level_logpdf(w, s0, c0)))
-    for j in range(p):
-        for k in range(j + 1, p):
-            total += float(np.sum(scipy_link_logpdf(kind, links[:, j, k], w, edges[j, k])))
-    s_star = s0 + links.sum(axis=2)
-    c_star = c0 + edges.sum(axis=1)
+    for e, c in enumerate(edges):
+        total += float(np.sum(scipy_link_logpdf(kind, links[:, e], w, c)))
+    pairs = [(j, k) for j in range(p) for k in range(j + 1, p)]
+    incidence = np.array([[node in pair for node in range(p)] for pair in pairs], dtype=float)
+    s_star = s0 + links @ incidence
+    c_star = c0 + edges @ incidence
     for j in range(p):
         total += float(np.sum(level_logpdf(y[:, j], s_star[:, j], c_star[j])))
 
@@ -201,12 +203,11 @@ def scipy_log_joint(family, y, w, links, s0, c0, edges, prior: PriorConfig) -> f
     elif isinstance(sp, UniformOnC0S0Prior):
         total += float(stats.uniform.logpdf(s0, 0.0, c0))
     fam = get_family(kind)
-    for j in range(p):
-        for k in range(j + 1, p):
-            if fam.integer_intensity:
-                total += float(stats.poisson.logpmf(int(round(edges[j, k])), prior.d0))
-            else:
-                total += float(stats.gamma.logpdf(edges[j, k], prior.a0, scale=1.0 / prior.b0))
+    for c in edges:
+        if fam.integer_intensity:
+            total += float(stats.poisson.logpmf(int(round(c)), prior.d0))
+        else:
+            total += float(stats.gamma.logpdf(c, prior.a0, scale=1.0 / prior.b0))
     return total
 
 
@@ -252,7 +253,7 @@ def _candidate_pairs(kind: FamilyKind, which: str, state: ChainState):
         return 0.6 * state.c0, 1.8 * state.c0
     fam = get_family(kind)
     if fam.integer_intensity:
-        floor = max(1.0, float(state.links[:, 0, 1].max()))
+        floor = max(1.0, float(state.links[:, 0].max()))
         return floor, floor + 2.0
     return 0.7, 2.9
 
@@ -273,19 +274,15 @@ def conditional_consistency_check(family, small_instance: SmallInstance | None,
     instance = small_instance or _default_small_instance(fam.kind)
     params = instance.params
     prior = PriorConfig.default_for(fam.kind)
-    data, lat = simulate(params, instance.n, rng)
-    w = np.array([l.w for l in lat])
-    links = np.stack([l.links for l in lat])
-    state = ChainState(
-        family=fam.kind, s0=params.s0, c0=params.c0,
-        edges=params.edge_intensity.copy(), w=w, links=links,
-    )
+    data, latents = simulate(params, instance.n, rng)
+    state = ChainState(family=fam.kind, s0=params.s0, c0=params.c0, edges=params.edges,
+                       w=latents.w, links=latents.links)
     y = data.y
     reports = []
 
     def joint(s0=None, c0=None, edges=None):
         return scipy_log_joint(
-            fam.kind, y, w, links,
+            fam.kind, y, state.w, state.links,
             state.s0 if s0 is None else s0,
             state.c0 if c0 is None else c0,
             state.edges if edges is None else edges,
@@ -310,7 +307,7 @@ def conditional_consistency_check(family, small_instance: SmallInstance | None,
 
     def with_edge(value):
         e = state.edges.copy()
-        e[0, 1] = e[1, 0] = value
+        e[0] = value  # pair (0, 1)
         return e
 
     d_cond = (log_full_conditional_cjk(state, data, prior, 0, 1, a)
@@ -336,7 +333,7 @@ def _enumeration_tv_report(kind, state: ChainState, data: Dataset,
     logs = np.empty(grid.size)
     links = state.links.copy()
     for idx, v in enumerate(grid):
-        links[0, 0, 1] = links[0, 1, 0] = v
+        links[0, 0] = v
         logs[idx] = scipy_log_joint(kind, data.y, state.w, links, state.s0,
                                     state.c0, state.edges, prior)
     logs -= logs.max()
@@ -356,11 +353,11 @@ def _normal_link_quadratic_report(state: ChainState, data: Dataset,
     links = state.links.copy()
 
     def joint_at(t):
-        links[0, 0, 1] = links[0, 1, 0] = t
+        links[0, 0] = t
         return scipy_log_joint(FamilyKind.NORMAL, data.y, state.w, links,
                                state.s0, state.c0, state.edges, prior)
 
-    t0 = state.links[0, 0, 1]
+    t0 = state.links[0, 0]
     h = 0.5
     g_m, g_0, g_p = joint_at(t0 - h), joint_at(t0), joint_at(t0 + h)
     curv = (g_p + g_m - 2.0 * g_0) / (h * h)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from qvgraph.model import node_pairs
+
 
 @pytest.fixture
 def rng():
@@ -22,3 +24,12 @@ def ks_statistic(draws: np.ndarray, cdf) -> float:
     upper = np.abs(np.arange(1, n + 1) / n - ref).max()
     lower = np.abs(ref - np.arange(0, n) / n).max()
     return float(max(upper, lower))
+
+
+def permute_pairs(values: np.ndarray, perm) -> np.ndarray:
+    """Pair columns (..., P) after relabelling the nodes so that node a is the
+    old node perm[a]."""
+    p = len(perm)
+    old = {pair: e for e, pair in enumerate(node_pairs(p))}
+    return values[..., [old[min(perm[a], perm[b]), max(perm[a], perm[b])]
+                        for a, b in node_pairs(p)]]

@@ -30,10 +30,10 @@ from qvgraph.inference import (
     split_chain_psrf,
     summarize,
 )
-from qvgraph.model import Dataset, ModelParams, simulate
+from qvgraph.model import Dataset, ModelParams, node_sums, simulate
 from qvgraph.verify import scipy_link_logpdf, scipy_log_joint
 
-from conftest import ks_statistic, ks_threshold
+from conftest import ks_statistic, ks_threshold, permute_pairs
 
 INFERENCE_KINDS = [k for k in FamilyKind if k is not FamilyKind.GSST]
 
@@ -50,13 +50,16 @@ def make_state(kind, n=3, seed=5):
     cfg = SMALL[kind]
     params = ModelParams(kind, cfg["s0"], cfg["c0"], np.array(cfg["edges"], dtype=float))
     data, latents = simulate(params, n, seed)
-    w = np.array([l.w for l in latents])
-    links = np.stack([l.links for l in latents])
     state = ChainState(
         family=params.family, s0=params.s0, c0=params.c0,
-        edges=params.edge_intensity.copy(), w=w, links=links,
+        edges=params.edges, w=latents.w, links=latents.links,
     )
     return params, data, state
+
+
+def node_levels(state):
+    """s* and c* of a state of the three-node SMALL models."""
+    return state.s0 + node_sums(state.links, 3), state.c0 + node_sums(state.edges, 3)
 
 
 def candidates(kind, which, state):
@@ -69,7 +72,7 @@ def candidates(kind, which, state):
         return (11.0, 14.0) if kind is FamilyKind.BETA else (1.7, 5.0)
     fam = get_family(kind)
     if fam.integer_intensity:
-        floor = max(1.0, float(state.links[:, 0, 1].max()))
+        floor = max(1.0, float(state.links[:, 0].max()))
         return (floor, floor + 2.0)
     return (0.9, 3.3)
 
@@ -111,6 +114,32 @@ class TestMCMCConfig:
         cfg = MCMCConfig(iterations=10_000, burn_in=2_000, thinning=10)
         assert cfg.retained_per_chain == 800
 
+    def test_no_retained_draw_rejected(self):
+        with pytest.raises(DomainError, match="retain no draws"):
+            MCMCConfig(iterations=10, burn_in=5, thinning=10)
+        assert MCMCConfig(iterations=10, burn_in=5, thinning=5).retained_per_chain == 1
+
+
+class TestChainStateLayout:
+    def test_pair_layout_accepted(self):
+        params, data, state = make_state(FamilyKind.GAMMA, n=4)
+        assert state.edges.shape == (3,) and state.links.shape == (4, 3) and state.p == 3
+
+    def test_dense_links_rejected(self):
+        params, data, state = make_state(FamilyKind.GAMMA, n=4)
+        dense = np.zeros((4, 3, 3))
+        with pytest.raises(DomainError, match=r"\(4, 3\)"):
+            ChainState(FamilyKind.GAMMA, 2.0, 3.0, state.edges, state.w, dense)
+        with pytest.raises(DomainError, match=r"\(P,\)"):
+            ChainState(FamilyKind.GAMMA, 2.0, 3.0, params.edge_intensity, state.w, state.links)
+
+    def test_wrong_replicate_count_rejected(self):
+        params, data, state = make_state(FamilyKind.GAMMA, n=4)
+        with pytest.raises(DomainError, match=r"\(3, 3\)"):
+            ChainState(FamilyKind.GAMMA, 2.0, 3.0, state.edges, state.w[:3], state.links)
+        with pytest.raises(DomainError, match=r"\(n,\)"):
+            ChainState(FamilyKind.GAMMA, 2.0, 3.0, state.edges, state.w[:, None], state.links)
+
 
 class TestFullConditionalsAgainstJoint:
     """Log-difference identity: conditionals must match the independent joint."""
@@ -149,7 +178,7 @@ class TestFullConditionalsAgainstJoint:
 
         def with_edge(value):
             e = state.edges.copy()
-            e[0, 1] = e[1, 0] = value
+            e[0] = value  # pair (1, 2)
             return e
 
         d_cond = (log_full_conditional_cjk(state, data, prior, 0, 1, a)
@@ -171,8 +200,8 @@ class TestFullConditionalsAgainstJoint:
         data_p = Dataset(y=data.y[:, perm])
         state_p = ChainState(
             family=kind, s0=state.s0, c0=state.c0,
-            edges=state.edges[np.ix_(perm, perm)].copy(),
-            w=state.w.copy(), links=state.links[:, perm][:, :, perm].copy(),
+            edges=permute_pairs(state.edges, perm),
+            w=state.w.copy(), links=permute_pairs(state.links, perm),
         )
         permuted = (log_full_conditional_s0(state_p, data_p, prior, a)
                     - log_full_conditional_s0(state_p, data_p, prior, b))
@@ -185,7 +214,7 @@ class TestFullConditionalsAgainstJoint:
         assert log_full_conditional_s0(state, data, prior, 12.0) == float("-inf")
         assert log_full_conditional_c0(state, data, prior, -1.0) == float("-inf")
         assert log_full_conditional_c0(state, data, prior, state.s0 - 0.5) == float("-inf")
-        max_link = float(state.links[:, 0, 1].max())
+        max_link = float(state.links[:, 0].max())
         if max_link >= 1.0:
             assert log_full_conditional_cjk(
                 state, data, prior, 0, 1, max_link - 1.0
@@ -205,14 +234,13 @@ class TestEdgeMoveRatios:
         params, data, state = make_state(kind)
         prior = PriorConfig.default_for(kind)
         kernel = inference._SweepKernel(get_family(kind), data, prior, MCMCConfig())
-        s_star = state.s0 + state.links.sum(axis=2)
-        c_star = state.c0 + state.edges.sum(axis=1)
+        s_star, c_star = node_levels(state)
         return data, state, prior, kernel, s_star, c_star
 
     def joint_change(self, kind, data, state, prior, new_c, new_s):
         edges, links = state.edges.copy(), state.links.copy()
-        edges[0, 1] = edges[1, 0] = new_c
-        links[:, 0, 1] = links[:, 1, 0] = new_s
+        edges[0] = new_c  # pair (1, 2)
+        links[:, 0] = new_s
         return (
             scipy_log_joint(kind, data.y, state.w, links, state.s0, state.c0, edges, prior)
             - scipy_log_joint(kind, data.y, state.w, state.links, state.s0, state.c0,
@@ -223,7 +251,7 @@ class TestEdgeMoveRatios:
                              + [(k, "scale") for k in CONTINUOUS_LINK_KINDS])
     def test_moves_with_the_link_level(self, kind, move):
         data, state, prior, kernel, s_star, c_star = self.setup_move(kind)
-        cur_c, cur_s = float(state.edges[0, 1]), state.links[:, 0, 1].copy()
+        cur_c, cur_s = float(state.edges[0]), state.links[:, 0].copy()
         if move == "scale":
             new_c, new_s = 1.4 * cur_c, 1.4 * cur_s
         else:  # links held fixed
@@ -238,14 +266,14 @@ class TestEdgeMoveRatios:
     def test_refresh_leaves_out_the_link_level(self, kind):
         data, state, prior, kernel, s_star, c_star = self.setup_move(kind)
         fam = get_family(kind)
-        cur_c = float(state.edges[0, 1])
+        cur_c = float(state.edges[0])
         new_c = cur_c + 1.0 if fam.integer_intensity else 0.8 * cur_c
         new_s = np.asarray(fam.sample_link(state.w, new_c, np.random.default_rng(11)),
                            dtype=float)
         ratio = kernel._pair_log_ratio(state, 0, 1, s_star, c_star, new_c, new_s)
         link_level = (
             float(np.sum(scipy_link_logpdf(kind, new_s, state.w, new_c)))
-            - float(np.sum(scipy_link_logpdf(kind, state.links[:, 0, 1], state.w, cur_c)))
+            - float(np.sum(scipy_link_logpdf(kind, state.links[:, 0], state.w, cur_c)))
         )
         expected = self.joint_change(kind, data, state, prior, new_c, new_s) - link_level
         assert ratio == pytest.approx(expected, abs=1e-8)
@@ -259,15 +287,15 @@ class TestEdgeMoveRatios:
     def test_commit_keeps_mirrors_and_node_sums(self, kind):
         data, state, prior, kernel, s_star, c_star = self.setup_move(kind)
         fam = get_family(kind)
-        new_c = float(state.edges[0, 1]) + 1.0
+        new_c = float(state.edges[0]) + 1.0
         new_s = np.asarray(fam.sample_link(state.w, new_c, np.random.default_rng(3)),
                            dtype=float)
         kernel._commit_pair(state, 0, 1, s_star, c_star, new_c, new_s)
-        assert state.edges[0, 1] == state.edges[1, 0] == new_c
-        assert np.array_equal(state.links[:, 0, 1], new_s)
-        assert np.array_equal(state.links[:, 1, 0], new_s)
-        assert np.allclose(s_star, state.s0 + state.links.sum(axis=2), rtol=0, atol=1e-12)
-        assert np.allclose(c_star, state.c0 + state.edges.sum(axis=1), rtol=0, atol=1e-12)
+        assert state.edges[0] == new_c
+        assert np.array_equal(state.links[:, 0], new_s)
+        s_fresh, c_fresh = node_levels(state)
+        assert np.allclose(s_star, s_fresh, rtol=0, atol=1e-12)
+        assert np.allclose(c_star, c_fresh, rtol=0, atol=1e-12)
 
 
 class _ForcedAccept:
@@ -359,12 +387,11 @@ class TestEdgeTermsCache:
         params, data, state = make_state(kind)
         prior = PriorConfig.default_for(kind)
         kernel = inference._SweepKernel(get_family(kind), data, prior, MCMCConfig())
-        s_star = state.s0 + state.links.sum(axis=2)
-        c_star = state.c0 + state.edges.sum(axis=1)
+        s_star, c_star = node_levels(state)
         terms = kernel._edge_terms(state, s_star, c_star)
-        for j, k in kernel.pairs:
+        for e, (j, k) in enumerate(kernel.pairs):
             for factor in (0.5, 1.5, 3.0):
-                new_c = float(np.ceil(factor * state.edges[j, k]))
+                new_c = float(np.ceil(factor * state.edges[e]))
                 ratio, _ = kernel._pair_candidate(state, j, k, s_star, c_star, new_c, None,
                                                   terms)
                 assert ratio == log_full_conditional_cjk(state, data, prior, j, k, new_c)
@@ -383,8 +410,7 @@ class TestIntensityOnlyMoves:
         config = MCMCConfig()
         kernel = inference._SweepKernel(get_family(kind), data, prior, config)
         inference._ensure_steps(state, config)
-        s_star = state.s0 + state.links.sum(axis=2)
-        c_star = state.c0 + state.edges.sum(axis=1)
+        s_star, c_star = node_levels(state)
         return data, prior, state, kernel, s_star, c_star, kernel._edge_terms(state, s_star, c_star)
 
     @staticmethod
@@ -404,11 +430,11 @@ class TestIntensityOnlyMoves:
                             edges=state.edges.copy(), w=state.w, links=state.links.copy())
         calls = self.spy(monkeypatch, kernel.fam)
         ratios = {}
-        for j, k in kernel.pairs:
-            new_c = 1.3 * float(state.edges[j, k])
+        for e, (j, k) in enumerate(kernel.pairs):
+            new_c = 1.3 * float(state.edges[e])
             ratios[j, k, new_c] = kernel._pair_candidate(state, j, k, s_star, c_star, new_c,
                                                          None, terms)[0]
-        kernel._update_c0(state, np.random.default_rng(0), terms, state.edges.sum(axis=1))
+        kernel._update_c0(state, np.random.default_rng(0), terms, node_sums(state.edges, 3))
         assert calls == []
         assert state.accept["c0"][1] == 1
         monkeypatch.undo()
@@ -419,10 +445,10 @@ class TestIntensityOnlyMoves:
     @pytest.mark.parametrize("kind", [k for k in INFERENCE_KINDS if k not in SUMMED_KINDS])
     def test_default_path_is_the_array_sum(self, kind, monkeypatch):
         data, prior, state, kernel, s_star, c_star, terms = self.setup_terms(kind)
-        fam, pre = kernel.fam, kernel.pre
+        fam = kernel.fam
         m_w_total = float(np.sum(fam.cumulant(state.w)))
-        for j, k in kernel.pairs:
-            cur_c = float(state.edges[j, k])
+        for e, (j, k) in enumerate(kernel.pairs):
+            cur_c = float(state.edges[e])
             new_c = cur_c + 1.0
             d_c = new_c - cur_c
             # the ratio as summed over the arrays, in the sampler's order
@@ -430,9 +456,9 @@ class TestIntensityOnlyMoves:
             for node in (j, k):
                 h_new = float(np.sum(fam.log_h(s_star[:, node], c_star[node] + d_c)))
                 h_cur = float(np.sum(fam.log_h(s_star[:, node], c_star[node])))
-                expected += (h_new - h_cur) + 0.0 - d_c * pre.m_y_node[node]
-            b_new = float(np.sum(fam.log_b(state.links[:, j, k], new_c)))
-            b_cur = float(np.sum(fam.log_b(state.links[:, j, k], cur_c)))
+                expected += (h_new - h_cur) + 0.0 - d_c * kernel.m_y_node[node]
+            b_new = float(np.sum(fam.log_b(state.links[:, e], new_c)))
+            b_cur = float(np.sum(fam.log_b(state.links[:, e], cur_c)))
             expected += (b_new - b_cur) + 0.0 - d_c * m_w_total
             calls = self.spy(monkeypatch, fam)
             ratio, _ = kernel._pair_candidate(state, j, k, s_star, c_star, new_c, None, terms)
@@ -450,11 +476,11 @@ class TestLinkConditional:
         links = state.links.copy()
 
         def joint_at(t):
-            links[0, 0, 1] = links[0, 1, 0] = t
+            links[0, 0] = t  # replicate 0, pair (1, 2)
             return scipy_log_joint(FamilyKind.NORMAL, data.y, state.w, links,
                                    state.s0, state.c0, state.edges, prior)
 
-        t0 = state.links[0, 0, 1]
+        t0 = state.links[0, 0]
         h = 0.25
         g_m, g_0, g_p = joint_at(t0 - h), joint_at(t0), joint_at(t0 + h)
         curv = (g_p + g_m - 2 * g_0) / (h * h)
@@ -467,7 +493,7 @@ class TestLinkConditional:
         mean, sd = link_conditional_normal_coeffs(state, data, 0, 0, 1)
         draws = np.empty(40_000)
         for t in range(draws.size):
-            state.links[0, 0, 1] = state.links[0, 1, 0] = mean  # frozen rest
+            state.links[0, 0] = mean  # frozen rest
             draws[t] = sample_link_conditional(state, data, 0, 0, 1, rng)
         assert draws.mean() == pytest.approx(mean, abs=4 * sd / math.sqrt(draws.size))
         assert draws.std(ddof=1) == pytest.approx(sd, rel=0.03)
@@ -476,8 +502,7 @@ class TestLinkConditional:
         edges = np.array([[0.0, 1.0], [1.0, 0.0]])
         params = ModelParams(FamilyKind.BETA, 2.0, 5.0, edges)
         data, latents = simulate(params, 1, 3)
-        state = ChainState(FamilyKind.BETA, 2.0, 5.0, edges.copy(),
-                           np.array([latents[0].w]), np.stack([latents[0].links]))
+        state = ChainState(FamilyKind.BETA, 2.0, 5.0, params.edges, latents.w, latents.links)
         values, probs = link_conditional_pmf(state, data, 0, 0, 1)
         assert values.tolist() == [0.0, 1.0]
         assert probs.sum() == pytest.approx(1.0, abs=1e-15)
@@ -492,7 +517,7 @@ class TestLinkConditional:
         logs = np.empty(grid.size)
         links = state.links.copy()
         for idx, v in enumerate(grid):
-            links[0, 0, 1] = links[0, 1, 0] = float(v)
+            links[0, 0] = float(v)
             logs[idx] = scipy_log_joint(kind, data.y, state.w, links,
                                         state.s0, state.c0, state.edges, prior)
         logs -= logs.max()
@@ -506,8 +531,8 @@ class TestLinkConditional:
         edges = np.array([[0.0, 2.0], [2.0, 0.0]])
         params = ModelParams(FamilyKind.INVERSE_GAMMA, 6.0, 10.0, edges)
         data, latents = simulate(params, 1, 3)
-        state = ChainState(FamilyKind.INVERSE_GAMMA, 6.0, 10.0, edges.copy(),
-                           np.array([latents[0].w]), np.stack([latents[0].links]))
+        state = ChainState(FamilyKind.INVERSE_GAMMA, 6.0, 10.0, params.edges, latents.w,
+                           latents.links)
         w = state.w[0]
         grid = np.linspace(1e-9, 60.0, 200_001)
         logs = (
@@ -530,7 +555,7 @@ class TestLinkConditional:
 
     def test_requires_positive_intensity(self, rng):
         params, data, state = make_state(FamilyKind.GAMMA)
-        state.edges[0, 1] = state.edges[1, 0] = 0.0
+        state.edges[0] = 0.0
         with pytest.raises(DomainError):
             sample_link_conditional(state, data, 0, 0, 1, rng)
 
@@ -595,9 +620,8 @@ class TestAnchorConditional:
     def test_gamma_exact_distribution(self, rng):
         params, data, state = make_state(FamilyKind.GAMMA, n=2)
         i = 0
-        tri = np.triu_indices(3, k=1)
-        s_star = state.s0 + state.links[i][tri].sum()
-        c_star = state.c0 + state.edges[tri].sum()
+        s_star = state.s0 + state.links[i].sum()
+        c_star = state.c0 + state.edges.sum()
         n = 100_000
         draws = np.empty(n)
         for t in range(n):
@@ -610,16 +634,14 @@ class TestAnchorConditional:
         edges = np.zeros((2, 2))
         params = ModelParams(FamilyKind.GAMMA, 2.0, 3.0, edges)
         data, latents = simulate(params, 1, 4)
-        state = ChainState(FamilyKind.GAMMA, 2.0, 3.0, edges.copy(),
-                           np.array([latents[0].w]), np.stack([latents[0].links]))
+        state = ChainState(FamilyKind.GAMMA, 2.0, 3.0, params.edges, latents.w, latents.links)
         n = 50_000
         draws = np.array([sample_w_conditional(state, data, 0, rng) for _ in range(n)])
         ks = ks_statistic(draws, lambda x: stats.gamma.cdf(x, 2.0, scale=1.0 / 3.0))
         assert ks < ks_threshold(n)
 
     def test_gsst_rejected(self, rng):
-        state = ChainState(FamilyKind.GSST, 0.0, 2.0, np.zeros((2, 2)),
-                           np.zeros(1), np.zeros((1, 2, 2)))
+        state = ChainState(FamilyKind.GSST, 0.0, 2.0, np.zeros(1), np.zeros(1), np.zeros((1, 1)))
         data = Dataset(y=np.zeros((1, 2)))
         with pytest.raises(DomainError):
             sample_w_conditional(state, data, 0, rng)
@@ -636,7 +658,7 @@ class TestGibbsSweep:
         before = (state.s0, state.c0, state.edges.copy())
         w_before = state.w.copy()
         state.step_sizes = {"s0": tiny, "c0": tiny}
-        p = state.edges.shape[0]
+        p = data.p
         for j in range(p):
             for k in range(j + 1, p):
                 state.step_sizes[f"edge_{j+1}_{k+1}"] = tiny
@@ -829,6 +851,17 @@ class TestPredictiveMse:
         )
         # hand-computed: ((1.5-1)^2 + (1-2)^2) / 2 = 0.625
         assert predictive_mse(samples, data, 0) == pytest.approx(0.625)
+
+    def test_requires_draws(self):
+        from qvgraph.inference import PosteriorSamples
+
+        samples = PosteriorSamples(
+            family=FamilyKind.NORMAL, node_names=["y1", "y2"], pairs=[(0, 1)],
+            s0=np.zeros((2, 0)), c0=np.ones((2, 0)), edges=np.ones((2, 0, 1)),
+            w=np.zeros((2, 0, 2)), links=np.zeros((2, 0, 2, 1)), meta={},
+        )
+        with pytest.raises(DomainError, match="retained draw"):
+            predictive_mse(samples, Dataset(y=np.zeros((2, 2))), 0)
 
     def test_requires_latents(self):
         from qvgraph.inference import PosteriorSamples

@@ -8,8 +8,8 @@ from qvgraph.errors import DomainError, InfiniteVarianceError, SingularModelErro
 from qvgraph.families import FamilyKind
 from qvgraph.model import (
     Dataset,
+    Latents,
     ModelParams,
-    ReplicateLatents,
     correlation_matrix,
     log_extended_likelihood,
     marginal_moments,
@@ -18,6 +18,8 @@ from qvgraph.model import (
     simulate,
 )
 from qvgraph.presets import FIVE_AREA_NONNEIGHBORS, five_area_params
+
+from conftest import permute_pairs
 
 
 def tri_params(kind=FamilyKind.NORMAL, s0=0.0, c0=1.5, c12=1.0, c13=2.0, c23=0.5):
@@ -85,8 +87,8 @@ class TestSimulate:
         params = five_area_params()
         data, latents = simulate(params, 500, 1)
         assert data.y.shape == (500, 5)
-        assert len(latents) == 500
-        assert latents[0].links.shape == (5, 5)
+        assert latents.w.shape == (500,)
+        assert latents.links.shape == (500, 10)
 
     def test_deterministic_given_seed(self):
         params = tri_params()
@@ -100,7 +102,7 @@ class TestSimulate:
         emp = np.corrcoef(data.y.T)
         off = emp[~np.eye(3, dtype=bool)]
         assert np.abs(off).max() < 0.01
-        assert all(np.all(l.links == 0.0) for l in latents[:100])
+        assert np.all(latents.links[:100] == 0.0)
 
     def test_two_node_closed_form_correlation(self):
         # per the dependence formula at p = 2: c12 / (c0 + c12) = 0.5
@@ -111,12 +113,6 @@ class TestSimulate:
         emp = np.corrcoef(data.y.T)[0, 1]
         se = (1.0 - 0.5**2) / math.sqrt(1_000_000)
         assert emp == pytest.approx(0.5, abs=3 * se)
-
-    def test_mirrored_links(self):
-        params = tri_params(kind=FamilyKind.GAMMA, s0=2.0, c0=3.0)
-        _, latents = simulate(params, 20, 4)
-        for lat in latents:
-            assert np.array_equal(lat.links, lat.links.T)
 
     def test_scaled_student_forward_simulation(self):
         # numeric-grid samplers cover the heavy-tailed member as well
@@ -327,13 +323,12 @@ class TestExtendedLikelihood:
 
     def test_single_replicate_matches_scipy_composition(self):
         params, data, latents = self.gamma_instance()
-        lat = latents[0]
-        s_link = lat.links[0, 1]
+        w, s_link = latents.w[0], latents.links[0, 0]
         s_star = 2.0 + s_link
         c_star = 3.0 + 1.5
         manual = (
-            stats.gamma.logpdf(lat.w, 2.0, scale=1.0 / 3.0)
-            + stats.poisson.logpmf(int(s_link), 1.5 * lat.w)
+            stats.gamma.logpdf(w, 2.0, scale=1.0 / 3.0)
+            + stats.poisson.logpmf(int(s_link), 1.5 * w)
             + stats.gamma.logpdf(data.y[0, 0], s_star, scale=1.0 / c_star)
             + stats.gamma.logpdf(data.y[0, 1], s_star, scale=1.0 / c_star)
         )
@@ -341,12 +336,11 @@ class TestExtendedLikelihood:
 
     def test_matches_naive_product_on_small_magnitudes(self):
         params, data, latents = self.gamma_instance()
-        lat = latents[0]
-        s_link = lat.links[0, 1]
+        w, s_link = latents.w[0], latents.links[0, 0]
         s_star, c_star = 2.0 + s_link, 4.5
         naive = (
-            stats.gamma.pdf(lat.w, 2.0, scale=1.0 / 3.0)
-            * stats.poisson.pmf(int(s_link), 1.5 * lat.w)
+            stats.gamma.pdf(w, 2.0, scale=1.0 / 3.0)
+            * stats.poisson.pmf(int(s_link), 1.5 * w)
             * stats.gamma.pdf(data.y[0, 0], s_star, scale=1.0 / c_star)
             * stats.gamma.pdf(data.y[0, 1], s_star, scale=1.0 / c_star)
         )
@@ -361,9 +355,7 @@ class TestExtendedLikelihood:
         edges_p = params.edge_intensity[np.ix_(perm, perm)]
         params_p = ModelParams(FamilyKind.GAMMA, 2.0, 3.0, edges_p)
         data_p = Dataset(y=data.y[:, perm])
-        latents_p = [
-            ReplicateLatents(w=l.w, links=l.links[np.ix_(perm, perm)]) for l in latents
-        ]
+        latents_p = Latents(w=latents.w, links=permute_pairs(latents.links, perm))
         assert log_extended_likelihood(params, data, latents) == pytest.approx(
             log_extended_likelihood(params_p, data_p, latents_p)
         )
@@ -373,10 +365,10 @@ class TestExtendedLikelihood:
         data, latents = simulate(params, 6, 13)
         total = log_extended_likelihood(params, data, latents)
         first = log_extended_likelihood(
-            params, Dataset(y=data.y[:2]), latents[:2]
+            params, Dataset(y=data.y[:2]), Latents(latents.w[:2], latents.links[:2])
         )
         rest = log_extended_likelihood(
-            params, Dataset(y=data.y[2:]), latents[2:]
+            params, Dataset(y=data.y[2:]), Latents(latents.w[2:], latents.links[2:])
         )
         assert total == pytest.approx(first + rest)
 
@@ -384,20 +376,31 @@ class TestExtendedLikelihood:
         edges = np.array([[0.0, 2.0], [2.0, 0.0]])
         params = ModelParams(FamilyKind.BETA, 2.0, 5.0, edges)
         data, latents = simulate(params, 1, 14)
-        bad = latents[0].links.copy()
-        bad[0, 1] = bad[1, 0] = 3.0  # exceeds the trial count
+        bad = latents.links.copy()
+        bad[0, 0] = 3.0  # exceeds the trial count
         assert log_extended_likelihood(
-            params, data, [ReplicateLatents(w=latents[0].w, links=bad)]
+            params, data, Latents(w=latents.w, links=bad)
         ) == float("-inf")
 
     def test_nonzero_link_on_zero_edge_flags_minus_inf(self):
         params = tri_params(kind=FamilyKind.GAMMA, s0=2.0, c0=3.0, c12=0.0)
         data, latents = simulate(params, 1, 15)
-        bad = latents[0].links.copy()
-        bad[0, 1] = bad[1, 0] = 1.0
+        bad = latents.links.copy()
+        bad[0, 0] = 1.0  # pair (1, 2)
         assert log_extended_likelihood(
-            params, data, [ReplicateLatents(w=latents[0].w, links=bad)]
+            params, data, Latents(w=latents.w, links=bad)
         ) == float("-inf")
+
+    def test_latent_shapes_are_checked(self):
+        params = tri_params(kind=FamilyKind.GAMMA, s0=2.0, c0=3.0)
+        data, latents = simulate(params, 4, 16)
+        dense = np.zeros((4, 3, 3))  # the symmetric p x p matrix per replicate
+        with pytest.raises(DomainError, match=r"\(4, 3\)"):
+            log_extended_likelihood(params, data, Latents(w=latents.w, links=dense))
+        with pytest.raises(DomainError, match=r"\(4, 3\)"):
+            log_extended_likelihood(params, data, Latents(w=latents.w, links=latents.links[:3]))
+        with pytest.raises(DomainError, match=r"\(4,\)"):
+            log_extended_likelihood(params, data, Latents(w=latents.w[:3], links=latents.links))
 
     def test_five_area_nonneighbors(self):
         params = five_area_params()
