@@ -215,6 +215,12 @@ def _is_integer(x):
     return np.isfinite(x) & (x == np.round(x))
 
 
+def _open_unit(b):
+    """Beta draws kept inside (0, 1): a draw that rounds to 0 or 1 (a tiny
+    shape parameter) becomes the nearest float inside; others are unchanged."""
+    return np.clip(b, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
+
+
 # Scalar counterparts of np.log, special.gammaln and s**2 / (2c) for the
 # closed-form sums: -inf or nan where the array routines give them, no error.
 def _log(x) -> float:
@@ -466,7 +472,7 @@ class BetaFamily(Family):
     def sample_w(self, s, c, rng, size=None):
         s = np.asarray(s, dtype=float)
         c = np.asarray(c, dtype=float)
-        return rng.beta(s, c - s, size=size)
+        return _open_unit(rng.beta(s, c - s, size=size))
 
     def sample_link(self, w, c, rng):
         w = np.asarray(w, dtype=float)
@@ -527,7 +533,7 @@ class InverseBetaFamily(Family):
     def sample_w(self, s, c, rng, size=None):
         s = np.asarray(s, dtype=float)
         c = np.asarray(c, dtype=float)
-        b = rng.beta(s, c + 1.0, size=size)
+        b = _open_unit(rng.beta(s, c + 1.0, size=size))
         return b / (1.0 - b)
 
     def sample_link(self, w, c, rng):
@@ -616,9 +622,6 @@ class _InverseCdfTable:
 
     def sample(self, rng, size=None):
         return self._interp(rng.random(size))
-
-    def ppf(self, u):
-        return self._interp(u)
 
 
 @functools.lru_cache(maxsize=256)

@@ -58,7 +58,15 @@ from .errors import (
     EnumerationOverflowError,
 )
 from .families import Family, FamilyKind, get_family
-from .model import Dataset, _expect_shape, log_joint_likelihood_arrays, node_pairs, node_sums
+from .model import (
+    Dataset,
+    _as_rng,
+    _expect_shape,
+    draw_latents,
+    log_joint_likelihood_arrays,
+    node_pairs,
+    node_sums,
+)
 
 __all__ = [
     "NormalS0Prior",
@@ -106,6 +114,17 @@ def _poisson_logpmf(k: float, lam: float) -> float:
 # Priors
 # ---------------------------------------------------------------------------
 
+# Each s0-prior form owns its constant checks, its chain start and its
+# random-walk proposal.  ``start(c0)`` is the first chain's s0 and
+# ``start(c0, rng)`` a later chain's overdispersed one, drawn with one
+# ``rng.random()``; ``propose(cur, c0, step, rng)`` returns a candidate and the
+# log Jacobian of its transformed scale.
+
+def _jitter(rng) -> float:
+    """A factor e^0.5 or e^-0.5, each with probability 1/2."""
+    return math.exp(0.5 if rng.random() < 0.5 else -0.5)
+
+
 @dataclass(frozen=True)
 class NormalS0Prior:
     """Normal prior on s0 with mean mu and precision tau."""
@@ -113,9 +132,22 @@ class NormalS0Prior:
     mu: float = 0.0
     tau: float = 0.01
 
+    def __post_init__(self):
+        if not self.tau > 0.0:
+            raise DomainError("s0 prior precision tau must be strictly positive")
+
     def logpdf(self, s0: float, c0: float) -> float:
         d = s0 - self.mu
         return 0.5 * (math.log(self.tau) - math.log(2.0 * math.pi)) - 0.5 * self.tau * d * d
+
+    def start(self, c0: float, rng=None) -> float:
+        # the prior mean, or half a prior standard deviation either side of it
+        if rng is None:
+            return self.mu
+        return self.mu + (0.5 if rng.random() < 0.5 else -0.5) * (1.0 / math.sqrt(self.tau))
+
+    def propose(self, cur: float, c0: float, step: float, rng) -> tuple[float, float]:
+        return cur + rng.normal(0.0, step), 0.0
 
 
 @dataclass(frozen=True)
@@ -125,8 +157,21 @@ class GammaS0Prior:
     a: float = 0.01
     b: float = 0.01
 
+    def __post_init__(self):
+        if not (self.a > 0.0 and self.b > 0.0):
+            raise DomainError("s0 prior shape and rate must be strictly positive")
+
     def logpdf(self, s0: float, c0: float) -> float:
         return _gamma_logpdf(s0, self.a, self.b)
+
+    def start(self, c0: float, rng=None) -> float:
+        s0 = self.a / self.b  # the prior mean
+        return s0 if rng is None else s0 * _jitter(rng)
+
+    def propose(self, cur: float, c0: float, step: float, rng) -> tuple[float, float]:
+        # a step on log s0
+        prop = cur * math.exp(rng.normal(0.0, step))
+        return prop, math.log(prop) - math.log(cur)
 
 
 @dataclass(frozen=True)
@@ -137,6 +182,16 @@ class UniformOnC0S0Prior:
         if 0.0 < s0 < c0:
             return -math.log(c0)
         return _NEG_INF
+
+    def start(self, c0: float, rng=None) -> float:
+        s0 = 0.5 * c0  # the jitter keeps it below c0
+        return s0 if rng is None else s0 * _jitter(rng)
+
+    def propose(self, cur: float, c0: float, step: float, rng) -> tuple[float, float]:
+        # a step on logit(s0 / c0), which keeps 0 < s0 < c0
+        u = math.log(cur) - math.log(c0 - cur)
+        prop = c0 / (1.0 + math.exp(-(u + rng.normal(0.0, step))))
+        return prop, math.log(prop) + math.log(c0 - prop) - math.log(cur) - math.log(c0 - cur)
 
 
 _S0_PRIOR_FORMS = {
@@ -172,11 +227,6 @@ class PriorConfig:
         for name in ("a0", "b0", "d0", "ac", "bc"):
             if not getattr(self, name) > 0.0:
                 raise DomainError(f"prior constant {name} must be strictly positive")
-        sp = self.s0_prior
-        if isinstance(sp, NormalS0Prior) and not sp.tau > 0.0:
-            raise DomainError("s0 prior precision tau must be strictly positive")
-        if isinstance(sp, GammaS0Prior) and not (sp.a > 0.0 and sp.b > 0.0):
-            raise DomainError("s0 prior shape and rate must be strictly positive")
 
     @classmethod
     def default_for(cls, family, **kwargs) -> "PriorConfig":
@@ -187,7 +237,7 @@ class PriorConfig:
     def validate_for(self, family) -> None:
         kind = get_family(family).kind
         expected = _S0_PRIOR_FORMS[kind]
-        if not isinstance(self.s0_prior, expected):
+        if type(self.s0_prior) is not expected:
             raise DomainError(
                 f"s0 prior form {type(self.s0_prior).__name__} does not match the "
                 f"{kind.value} family (expected {expected.__name__})"
@@ -320,37 +370,14 @@ def _edge_label(j: int, k: int) -> str:
 # Full conditionals for the top-level parameters
 # ---------------------------------------------------------------------------
 
-def _cond_s0_core(fam, prior, cand, c0, c_star, link_rowsum, n, theta_total) -> float:
-    if not fam.hyper_ok(cand, c0):
-        return _NEG_INF
-    lp = prior.s0_prior.logpdf(cand, c0)
-    if lp == _NEG_INF:
-        return _NEG_INF
-    s_star = cand + link_rowsum
-    h_sum = float(np.sum(fam.log_h(s_star, c_star[None, :])))
-    return h_sum + n * float(fam.log_h(cand, c0)) + cand * theta_total + lp
-
-
-def _cond_c0_core(fam, prior, cand, s0, h_stat, h_s0, edge_rowsum, n, m_total) -> float:
-    """``h_stat`` holds each node's ``h_summary`` of s*, ``h_s0`` the
-    ``h_summary`` of the one-element array [s0]."""
-    if cand <= 0.0 or not fam.hyper_ok(s0, cand):
-        return _NEG_INF
-    lp = prior.log_c0_prior(cand) + prior.s0_prior.logpdf(s0, cand)
-    c_star = (cand + edge_rowsum).tolist()
-    h_sum = sum(fam.log_h_sum(stat, c) for stat, c in zip(h_stat, c_star))
-    return h_sum + n * fam.log_h_sum(h_s0, cand) - cand * m_total + lp
-
-
 def log_full_conditional_s0(state: ChainState, data: Dataset, prior: PriorConfig,
                             s0_candidate: float) -> float:
     """Log full conditional of s0 (up to an additive constant); -inf outside
     the admissible region."""
     kernel = _SweepKernel(get_family(state.family), data, prior, MCMCConfig())
     s_star, theta_w, c_star = kernel._link_block_terms(state)
-    theta_total = kernel.theta_y_total + float(np.sum(theta_w))
-    return _cond_s0_core(kernel.fam, prior, float(s0_candidate), state.c0, c_star,
-                         s_star - state.s0, kernel.n, theta_total)
+    return kernel._log_target_s0(float(s0_candidate), state.c0, c_star, s_star - state.s0,
+                                 float(np.sum(theta_w)))
 
 
 def log_full_conditional_c0(state: ChainState, data: Dataset, prior: PriorConfig,
@@ -359,10 +386,8 @@ def log_full_conditional_c0(state: ChainState, data: Dataset, prior: PriorConfig
     candidates not exceeding s0 in the beta family)."""
     kernel = _SweepKernel(get_family(state.family), data, prior, MCMCConfig())
     s_star, _, c_star = kernel._link_block_terms(state)
-    terms = kernel._edge_terms(state, s_star, c_star)
-    return _cond_c0_core(kernel.fam, prior, float(c0_candidate), state.s0, terms.h_stat,
-                         terms.h_s0, c_star - state.c0, kernel.n,
-                         kernel.m_y_total + terms.m_w_total)
+    return kernel._log_target_c0(float(c0_candidate), state.s0,
+                                 kernel._edge_terms(state, s_star, c_star), c_star - state.c0)
 
 
 def log_full_conditional_cjk(state: ChainState, data: Dataset, prior: PriorConfig,
@@ -375,8 +400,9 @@ def log_full_conditional_cjk(state: ChainState, data: Dataset, prior: PriorConfi
     j, k = min(j, k), max(j, k)
     kernel = _SweepKernel(get_family(state.family), data, prior, MCMCConfig())
     s_star, _, c_star = kernel._link_block_terms(state)
-    return kernel._pair_log_ratio(state, j, k, s_star, c_star, float(c_candidate), None,
-                                  kernel._w_terms(state))
+    terms = kernel._edge_terms(state, s_star, c_star)
+    return kernel._pair_candidate(state, j, k, s_star, c_star, float(c_candidate), None,
+                                  terms)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -630,19 +656,15 @@ class _SweepKernel:
         state.w = np.asarray(self.fam.sample_w(*_anchor_params(state), rng), dtype=float)
 
     # -- block III: edge intensities and their links ----------------------------
-    def _w_terms(self, state: ChainState):
-        """theta(w) and sum M(w), the anchor terms of the link level."""
-        fam = self.fam
-        return np.asarray(fam.theta(state.w), dtype=float), float(np.sum(fam.cumulant(state.w)))
-
-    def _edge_terms(self, state: ChainState, s_star, c_star, w_terms=None) -> _EdgeTerms:
+    def _edge_terms(self, state: ChainState, s_star, c_star) -> _EdgeTerms:
         """The edge block's terms of the current state, from s*, c* as given.
 
         The sweep builds them once after the anchors; ``_commit_pair`` keeps
-        them current.  ``w_terms`` defaults to ``_w_terms(state)``.
+        them current.
         """
         fam, edges, links = self.fam, state.edges, state.links
-        theta_w, m_w_total = self._w_terms(state) if w_terms is None else w_terms
+        theta_w = np.asarray(fam.theta(state.w), dtype=float)
+        m_w_total = float(np.sum(fam.cumulant(state.w)))
         h_stat = [fam.h_summary(s_star[:, node]) for node in range(self.p)]
         b_stat = [fam.b_summary(links[:, e]) for e in range(edges.size)]
         return _EdgeTerms(
@@ -704,27 +726,15 @@ class _SweepKernel:
             b_new = (b, stat)
         return total, (h_new[0], h_new[1], b_new, lp_new)
 
-    def _pair_log_ratio(self, state: ChainState, j, k, s_star, c_star, new_c, new_s,
-                        w_terms=None) -> float:
-        """Log target ratio of a move on edge (j, k) outside the sweep.
-
-        The current side is built from ``state``, ``s_star`` and ``c_star`` by
-        ``_edge_terms``, as the sweep builds it once per edge block, and
-        ``_pair_candidate`` evaluates only the candidate.  With ``w_terms``
-        (the value of ``_w_terms``) the link level is included.
-        """
-        terms = self._edge_terms(state, s_star, c_star, w_terms)
-        return self._pair_candidate(state, j, k, s_star, c_star, new_c, new_s, terms,
-                                    w_terms is not None)[0]
-
-    def _commit_pair(self, state: ChainState, j, k, s_star, c_star, new_c, new_s,
-                     terms=None, cand=None):
-        """Write edge (j, k) and its links; keep s*, c* current.
+    def _commit_pair(self, state: ChainState, j, k, s_star, c_star, new_c, new_s, terms,
+                     cand):
+        """Write edge (j, k) and its links; keep s*, c* and ``terms`` current.
 
         ``new_s=None`` keeps the links.  s*, c* take the candidate's own
-        additions, so the candidate sums and summaries ``cand`` stored into
-        ``terms`` are the values a recomputation would give; a candidate
-        without the link level (the refresh) has its sum computed here.
+        additions, so the candidate sums and summaries ``cand`` (from
+        ``_pair_candidate``) stored into ``terms`` are the values a
+        recomputation would give; a candidate without the link level (the
+        refresh) has its sum computed here.
         """
         col = self.column[j, k]
         d_c = new_c - float(state.edges[col])
@@ -736,15 +746,14 @@ class _SweepKernel:
             state.links[:, col] = new_s
             s_star[:, j] += d_s
             s_star[:, k] += d_s
-        if terms is not None:
-            (h_j, stat_j), (h_k, stat_k), b_new, lp_new = cand
-            if b_new is None:
-                stat = self.fam.b_summary(state.links[:, col])
-                b_new = (self.fam.log_b_sum(stat, new_c), stat)
-            terms.h_node[j], terms.h_node[k] = h_j, h_k
-            terms.h_stat[j], terms.h_stat[k] = stat_j, stat_k
-            terms.b_pair[col], terms.b_stat[col] = b_new
-            terms.lp_pair[col] = lp_new
+        (h_j, stat_j), (h_k, stat_k), b_new, lp_new = cand
+        if b_new is None:
+            stat = self.fam.b_summary(state.links[:, col])
+            b_new = (self.fam.log_b_sum(stat, new_c), stat)
+        terms.h_node[j], terms.h_node[k] = h_j, h_k
+        terms.h_stat[j], terms.h_stat[k] = stat_j, stat_k
+        terms.b_pair[col], terms.b_stat[col] = b_new
+        terms.lp_pair[col] = lp_new
 
     def _propose_intensity(self, state: ChainState, name, col, rng):
         """Random-walk proposal for the edge intensity in column ``col`` and its
@@ -815,52 +824,56 @@ class _SweepKernel:
             self._commit_pair(state, j, k, s_star, c_star, new_c, new_s, terms, cand)
 
     # -- block II: c0 ----------------------------------------------------------
+    def _log_target_c0(self, c0, s0, terms, edge_rowsum) -> float:
+        """Log full conditional of c0 up to a constant; -inf outside the
+        support.  c0 enters the node levels through c* alone, so the node
+        summaries of ``terms`` give every log h sum."""
+        fam, prior = self.fam, self.prior
+        if c0 <= 0.0 or not fam.hyper_ok(s0, c0):
+            return _NEG_INF
+        lp = prior.log_c0_prior(c0) + prior.s0_prior.logpdf(s0, c0)
+        c_star = (c0 + edge_rowsum).tolist()
+        h_sum = sum(fam.log_h_sum(stat, c) for stat, c in zip(terms.h_stat, c_star))
+        return (h_sum + self.n * fam.log_h_sum(terms.h_s0, c0)
+                - c0 * (self.m_y_total + terms.m_w_total) + lp)
+
     def _update_c0(self, state: ChainState, rng, terms, edge_rowsum):
-        # c0 enters the node levels through c* alone: the node summaries of
-        # the edge block's terms give every log h sum.
         counter = state.counter("c0")
-        step = state.step_sizes["c0"]
         cur = state.c0
-        prop = cur * math.exp(rng.normal(0.0, step))
+        prop = cur * math.exp(rng.normal(0.0, state.step_sizes["c0"]))
         counter[1] += 1
-        args = (state.s0, terms.h_stat, terms.h_s0, edge_rowsum, self.n,
-                self.m_y_total + terms.m_w_total)
-        lo = _cond_c0_core(self.fam, self.prior, prop, *args)
+        lo = self._log_target_c0(prop, state.s0, terms, edge_rowsum)
         if lo == _NEG_INF:
             return
-        lc = _cond_c0_core(self.fam, self.prior, cur, *args)
+        lc = self._log_target_c0(cur, state.s0, terms, edge_rowsum)
         if math.log(rng.random()) < lo - lc + math.log(prop) - math.log(cur):
             counter[0] += 1
             state.c0 = prop
 
     # -- block I: s0 -------------------------------------------------------------
-    def _update_s0(self, state: ChainState, rng, link_rowsum, c_star, theta_w_total):
+    def _log_target_s0(self, s0, c0, c_star, link_rowsum, theta_w_total) -> float:
+        """Log full conditional of s0 up to a constant; -inf outside the
+        support.  ``link_rowsum`` is s* - s0."""
         fam = self.fam
-        counter = state.counter("s0")
-        step = state.step_sizes["s0"]
-        cur = state.s0
+        if not fam.hyper_ok(s0, c0):
+            return _NEG_INF
+        lp = self.prior.s0_prior.logpdf(s0, c0)
+        if lp == _NEG_INF:
+            return _NEG_INF
+        h_sum = float(np.sum(fam.log_h(s0 + link_rowsum, c_star[None, :])))
         theta_total = self.theta_y_total + theta_w_total
+        return h_sum + self.n * float(fam.log_h(s0, c0)) + s0 * theta_total + lp
+
+    def _update_s0(self, state: ChainState, rng, link_rowsum, c_star, theta_w_total):
+        counter = state.counter("s0")
+        cur = state.s0
         counter[1] += 1
-
-        if isinstance(self.prior.s0_prior, NormalS0Prior):
-            prop = cur + rng.normal(0.0, step)
-            jac = 0.0
-        elif isinstance(self.prior.s0_prior, UniformOnC0S0Prior):
-            # random walk on logit(s0/c0); the transform keeps 0 < s0 < c0
-            u = math.log(cur) - math.log(state.c0 - cur)
-            u_new = u + rng.normal(0.0, step)
-            prop = state.c0 / (1.0 + math.exp(-u_new))
-            jac = (math.log(prop) + math.log(state.c0 - prop)
-                   - math.log(cur) - math.log(state.c0 - cur))
-        else:
-            prop = cur * math.exp(rng.normal(0.0, step))
-            jac = math.log(prop) - math.log(cur)
-
-        args = (state.c0, c_star, link_rowsum, self.n, theta_total)
-        lo = _cond_s0_core(fam, self.prior, prop, *args)
+        prop, jac = self.prior.s0_prior.propose(cur, state.c0, state.step_sizes["s0"], rng)
+        args = (state.c0, c_star, link_rowsum, theta_w_total)
+        lo = self._log_target_s0(prop, *args)
         if lo == _NEG_INF:
             return
-        lc = _cond_s0_core(fam, self.prior, cur, *args)
+        lc = self._log_target_s0(cur, *args)
         if math.log(rng.random()) < lo - lc + jac:
             counter[0] += 1
             state.s0 = prop
@@ -1025,40 +1038,21 @@ def initial_state(family, data: Dataset, prior: PriorConfig, config: MCMCConfig,
     n, p = data.y.shape
 
     c0 = prior.ac / prior.bc
-    sp = prior.s0_prior
-    if isinstance(sp, NormalS0Prior):
-        s0 = sp.mu
-    elif isinstance(sp, GammaS0Prior):
-        s0 = sp.a / sp.b
-    else:
-        s0 = 0.5 * c0
     edge0 = max(1.0, round(prior.d0)) if fam.integer_intensity else prior.a0 / prior.b0
-
-    if chain_index > 0:
-        def factor():
-            return math.exp(0.5 if rng.random() < 0.5 else -0.5)
-
-        c0 *= factor()
-        if isinstance(sp, NormalS0Prior):
-            s0 += (0.5 if rng.random() < 0.5 else -0.5) * (1.0 / math.sqrt(sp.tau))
-        elif isinstance(sp, GammaS0Prior):
-            s0 *= factor()
-        else:
-            s0 = 0.5 * c0 * factor()
-            s0 = min(s0, 0.95 * c0)
+    if chain_index == 0:
+        s0 = prior.s0_prior.start(c0)
+    else:
+        c0 *= _jitter(rng)
+        s0 = prior.s0_prior.start(c0, rng)
         if fam.integer_intensity:
-            edge0 = max(1.0, round(edge0 * factor()))
+            edge0 = max(1.0, round(edge0 * _jitter(rng)))
         else:
-            edge0 *= factor()
+            edge0 *= _jitter(rng)
 
     edges = np.full(p * (p - 1) // 2, float(edge0))
-    w = np.asarray(fam.sample_w(s0, c0, rng, size=n), dtype=float)
-    links = np.empty((n, edges.size))
-    for e, c in enumerate(edges):
-        links[:, e] = fam.sample_link(w, c, rng)
-
-    return ChainState(family=fam.kind, s0=float(s0), c0=float(c0), edges=edges, w=w,
-                      links=links, step_sizes=_default_steps(config, p))
+    latents = draw_latents(fam, s0, c0, edges, n, rng)
+    return ChainState(family=fam.kind, s0=float(s0), c0=float(c0), edges=edges, w=latents.w,
+                      links=latents.links, step_sizes=_default_steps(config, p))
 
 
 def _adapt_block_steps(state: ChainState, window_start: dict, round_index: int,
@@ -1293,8 +1287,7 @@ def run_chains(data: Dataset, family, prior: PriorConfig, config: MCMCConfig) ->
     """
     fam = get_family(family)
     data.validate_support(fam)
-    prior.validate_for(fam)
-    kernel = _SweepKernel(fam, data, prior, config)
+    kernel = _SweepKernel(fam, data, prior, config)  # checks the prior's s0 form
     n, p = data.y.shape
     pairs = kernel.pairs
     rows = (config.chains, config.retained_per_chain)
@@ -1393,7 +1386,7 @@ def predictive_mse(samples: PosteriorSamples, data: Dataset, rng) -> float:
         raise DomainError("predictive_mse requires samples retained with latents")
     if samples.retained == 0:
         raise DomainError("predictive_mse requires at least one retained draw")
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    rng = _as_rng(rng)
     fam = get_family(samples.family)
     total = 0.0
     for m in range(samples.chains):

@@ -368,10 +368,9 @@ class RunConfig:
     adapt_window: int = 50
     edge_moves: int = 3
     keep_latents: bool = True
-    # preprocessing and export
+    # preprocessing
     standardize_plus3: bool = False
     reciprocal_transform: bool = False
-    threshold: float = 5.0
 
     @classmethod
     def field_names(cls):

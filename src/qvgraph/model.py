@@ -35,6 +35,7 @@ __all__ = [
     "Dataset",
     "node_pairs",
     "node_sums",
+    "draw_latents",
     "simulate",
     "marginal_moments",
     "pairwise_correlation",
@@ -189,6 +190,20 @@ class Dataset:
             )
 
 
+def draw_latents(fam: Family, s0: float, c0: float, edges: np.ndarray, n: int,
+                 rng: np.random.Generator) -> Latents:
+    """The first two levels for n replicates: the anchors under (s0, c0), then
+    each pair's links under its intensity in ``edges`` (P,), pair after pair.
+    A zero intensity draws nothing and leaves its links at 0."""
+    w = np.asarray(fam.sample_w(s0, c0, rng, size=n), dtype=float)
+    links = np.zeros((n, edges.size), dtype=float)
+    for e, c in enumerate(edges):
+        if c == 0.0:
+            continue  # degenerate link: S_jk = 0 with probability one
+        links[:, e] = fam.sample_link(w, c, rng)
+    return Latents(w=w, links=links)
+
+
 def simulate(params: ModelParams, n: int, rng) -> tuple[Dataset, Latents]:
     """Draw n replicates from the three-level construction.
 
@@ -200,22 +215,14 @@ def simulate(params: ModelParams, n: int, rng) -> tuple[Dataset, Latents]:
     rng = _as_rng(rng)
     fam = get_family(params.family)
     p = params.p
-    edges = params.edges
-
-    w = np.asarray(fam.sample_w(params.s0, params.c0, rng, size=n), dtype=float)
-    links = np.zeros((n, edges.size), dtype=float)
-    for e, c in enumerate(edges):
-        if c == 0.0:
-            continue  # degenerate link: S_jk = 0 with probability one
-        links[:, e] = fam.sample_link(w, c, rng)
-
-    s_star = params.s0 + node_sums(links, p)
+    latents = draw_latents(fam, params.s0, params.c0, params.edges, n, rng)
+    s_star = params.s0 + node_sums(latents.links, p)
     c_star = params.c0 + params.row_sums
     y = np.empty((n, p), dtype=float)
     for j in range(p):
         y[:, j] = fam.sample_w(s_star[:, j], c_star[j], rng)
 
-    return Dataset(y=y), Latents(w=w, links=links)
+    return Dataset(y=y), latents
 
 
 def marginal_moments(params: ModelParams) -> tuple[float, float]:

@@ -32,7 +32,7 @@ from .inference import (
     log_full_conditional_s0,
     sample_w_conditional,
 )
-from .model import Dataset, ModelParams, marginal_moments, pairwise_correlation, simulate
+from .model import Dataset, ModelParams, _as_rng, marginal_moments, pairwise_correlation, simulate
 
 __all__ = [
     "OracleReport",
@@ -73,10 +73,6 @@ class OracleReport:
     def from_abs(cls, name, target, estimate, tolerance):
         ok = abs(estimate - target) <= tolerance
         return cls(name, float(target), float(estimate), 0.0, bool(ok), float(tolerance))
-
-
-def _as_rng(rng):
-    return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
 
 # ---------------------------------------------------------------------------

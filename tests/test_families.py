@@ -375,6 +375,15 @@ class TestAnchorSampler:
         with pytest.raises(DomainError):
             sample_w("beta", 11.0, 10.0, rng)
 
+    @pytest.mark.parametrize("kind, s, c", [(FamilyKind.BETA, 5.0, 5.0 + 1e-8),
+                                            (FamilyKind.BETA, 1e-8, 1.0),
+                                            (FamilyKind.INVERSE_BETA, 1e-8, 1.0),
+                                            (FamilyKind.INVERSE_BETA, 1e20, 1.0)])
+    def test_draws_stay_in_the_mean_space(self, kind, s, c, rng):
+        # beta draws with a tiny shape round to 0 or 1 unless kept inside
+        fam = get_family(kind)
+        assert np.all(fam.in_mean_space(fam.sample_w(s, c, rng, size=1000)))
+
 
 class TestLinkSampler:
     def test_poisson_link_mean(self, rng):

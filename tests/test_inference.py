@@ -98,6 +98,49 @@ class TestPriorConfig:
         assert prior.logpdf(0.5, 1.0) == pytest.approx(0.0)
         assert prior.logpdf(1.5, 1.0) == float("-inf")
 
+    @pytest.mark.parametrize("form, constants", [(NormalS0Prior, {"tau": 0.0}),
+                                                 (GammaS0Prior, {"a": 0.0}),
+                                                 (GammaS0Prior, {"b": -1.0})])
+    def test_s0_form_constants_checked(self, form, constants):
+        with pytest.raises(DomainError, match="s0 prior"):
+            form(**constants)
+
+
+class TestInitialState:
+    """Pinned chain starts of each s0-prior form: (chain, seed) -> (s0, c0, edge
+    start), chain 1 jittered down (seed 4) and up (seed 3)."""
+
+    PRIOR = dict(a0=2.0, b0=0.5, d0=3.0, ac=2.0, bc=0.5)
+    STARTS = {
+        "normal": (NormalS0Prior(mu=1.5, tau=4.0), {
+            (0, 3): (1.5, 4.0, 4.0),
+            (1, 3): (1.75, 6.594885082800513, 2.4261226388505337),
+            (1, 4): (1.25, 2.4261226388505337, 2.4261226388505337),
+        }),
+        "gamma": (GammaS0Prior(a=3.0, b=2.0), {
+            (0, 3): (1.5, 4.0, 4.0),
+            (1, 3): (2.4730819060501923, 6.594885082800513, 2.4261226388505337),
+            (1, 4): (0.9097959895689501, 2.4261226388505337, 2.4261226388505337),
+        }),
+        "beta": (UniformOnC0S0Prior(), {
+            (0, 3): (2.0, 4.0, 3.0),
+            (1, 3): (5.436563656918091, 6.594885082800513, 2.0),
+            (1, 4): (0.7357588823428847, 2.4261226388505337, 2.0),
+        }),
+    }
+
+    @pytest.mark.parametrize("family", sorted(STARTS))
+    def test_pinned_starts(self, family):
+        form, expected = self.STARTS[family]
+        prior = PriorConfig(s0_prior=form, **self.PRIOR)
+        data = Dataset(y=np.full((4, 3), 0.5))
+        for (chain, seed), start in expected.items():
+            state = initial_state(family, data, prior, MCMCConfig(), chain,
+                                  np.random.default_rng(seed))
+            assert (state.s0, state.c0, float(state.edges[0])) == start
+            assert np.all(state.edges == state.edges[0])
+            assert state.w.shape == (4,) and state.links.shape == (4, 3)
+
 
 class TestMCMCConfig:
     def test_invariants(self):
@@ -237,6 +280,14 @@ class TestEdgeMoveRatios:
         s_star, c_star = node_levels(state)
         return data, state, prior, kernel, s_star, c_star
 
+    @staticmethod
+    def candidate(kernel, state, s_star, c_star, new_c, new_s, link_level=True):
+        """The sweep's ratio and candidate for pair (1, 2), from fresh edge terms."""
+        terms = kernel._edge_terms(state, s_star, c_star)
+        ratio, cand = kernel._pair_candidate(state, 0, 1, s_star, c_star, new_c, new_s, terms,
+                                             link_level)
+        return ratio, cand, terms
+
     def joint_change(self, kind, data, state, prior, new_c, new_s):
         edges, links = state.edges.copy(), state.links.copy()
         edges[0] = new_c  # pair (1, 2)
@@ -257,8 +308,7 @@ class TestEdgeMoveRatios:
         else:  # links held fixed
             new_c = cur_c + 1.0 if get_family(kind).integer_intensity else 1.3 * cur_c
             new_s = cur_s
-        ratio = kernel._pair_log_ratio(state, 0, 1, s_star, c_star, new_c, new_s,
-                                       kernel._w_terms(state))
+        ratio, _, _ = self.candidate(kernel, state, s_star, c_star, new_c, new_s)
         expected = self.joint_change(kind, data, state, prior, new_c, new_s)
         assert ratio == pytest.approx(expected, abs=1e-8)
 
@@ -270,7 +320,8 @@ class TestEdgeMoveRatios:
         new_c = cur_c + 1.0 if fam.integer_intensity else 0.8 * cur_c
         new_s = np.asarray(fam.sample_link(state.w, new_c, np.random.default_rng(11)),
                            dtype=float)
-        ratio = kernel._pair_log_ratio(state, 0, 1, s_star, c_star, new_c, new_s)
+        ratio, _, _ = self.candidate(kernel, state, s_star, c_star, new_c, new_s,
+                                     link_level=False)
         link_level = (
             float(np.sum(scipy_link_logpdf(kind, new_s, state.w, new_c)))
             - float(np.sum(scipy_link_logpdf(kind, state.links[:, 0], state.w, cur_c)))
@@ -281,7 +332,8 @@ class TestEdgeMoveRatios:
     def test_binomial_link_above_candidate_is_outside_support(self):
         data, state, prior, kernel, s_star, c_star = self.setup_move(FamilyKind.BETA)
         new_s = np.full(data.n, 2.0)
-        assert kernel._pair_log_ratio(state, 0, 1, s_star, c_star, 1.0, new_s) == float("-inf")
+        ratio, _, _ = self.candidate(kernel, state, s_star, c_star, 1.0, new_s, link_level=False)
+        assert ratio == float("-inf")
 
     @pytest.mark.parametrize("kind", INFERENCE_KINDS)
     def test_commit_keeps_mirrors_and_node_sums(self, kind):
@@ -290,7 +342,8 @@ class TestEdgeMoveRatios:
         new_c = float(state.edges[0]) + 1.0
         new_s = np.asarray(fam.sample_link(state.w, new_c, np.random.default_rng(3)),
                            dtype=float)
-        kernel._commit_pair(state, 0, 1, s_star, c_star, new_c, new_s)
+        _, cand, terms = self.candidate(kernel, state, s_star, c_star, new_c, new_s)
+        kernel._commit_pair(state, 0, 1, s_star, c_star, new_c, new_s, terms, cand)
         assert state.edges[0] == new_c
         assert np.array_equal(state.links[:, 0], new_s)
         s_fresh, c_fresh = node_levels(state)
@@ -759,6 +812,16 @@ class TestRunChains:
             assert np.all(samples.edges >= 1.0)
         mse = predictive_mse(samples, data, 3)
         assert np.isfinite(mse) and mse > 0.0
+
+    def test_beta_anchor_rounding_to_one_does_not_kill_a_chain(self):
+        # chain 1 starts at c0 = 0.61 and draws an anchor Beta(s*, c* - s*)
+        # with a tiny second shape, which rounds to 1.0 unless kept inside
+        params = ModelParams(FamilyKind.BETA, 6, 10, [[0, 2, 1], [2, 0, 3], [1, 3, 0]])
+        data, _ = simulate(params, 200, 5)
+        cfg = MCMCConfig(iterations=60, burn_in=20, thinning=2, chains=2, seed=11,
+                         adapt_window=10)
+        samples = run_chains(data, "beta", PriorConfig.default_for("beta"), cfg)
+        assert np.all((samples.w > 0.0) & (samples.w < 1.0))
 
 
 class TestSummaries:

@@ -250,7 +250,7 @@ class TestRunConfig:
         base = RunConfig()
         h0 = base.config_hash()
         for key, value in [("family", "gamma"), ("seed", "1"), ("a0", "2.0"),
-                           ("threshold", "7.5")]:
+                           ("standardize_plus3", "true")]:
             config = RunConfig()
             config.set_option(key, value)
             assert config.config_hash() != h0
@@ -262,6 +262,12 @@ class TestRunConfig:
         prior.validate_for("beta")
         mcmc = config.mcmc_config()
         assert mcmc.retained_per_chain == 45
+
+    @pytest.mark.parametrize("family", [k.value for k in FamilyKind])
+    def test_defaults_build_the_library_defaults(self, family):
+        config = RunConfig(family=family)
+        assert config.mcmc_config() == MCMCConfig()
+        assert config.prior_config() == PriorConfig.default_for(family)
 
     @pytest.mark.parametrize("family", [k.value for k in FamilyKind])
     def test_prior_config_takes_the_family_form(self, family):
