@@ -2,14 +2,16 @@
 
     python3 .github/scripts/draws_digest_report.py BASE_TREE HEAD_TREE
 
-Runs the seed-1, untraced, 5-second benchmark smoke run of every workload
+Runs the seed-1, traced, 5-second benchmark smoke run of every workload
 (``perfbench/run.py``) in each tree, each against that tree's own sources, and
 prints a Markdown table of the two ``draws_digest`` values with ``equal`` or
-``DIFFER``.  One more row per inference family digests a small three-node fit
+``DIFFER``, and one of the two exact ``inference.py_calls_per_sweep`` counts:
+the sweep is bound by interpreter overhead, so a change that adds Python
+calls to it shows there.  Tracing leaves the draws as they are.  One more row per inference family digests a small three-node fit
 that keeps its latents (s0, c0, edges, w and links of ``PosteriorSamples``),
 run in a subprocess on each tree's ``src``; the benchmark workloads miss the
-beta families and the inverse-gamma links.  A change may alter the stream if
-it says so, so this only reports: it exits 0 whatever the digests are, also
+beta families and the inverse-gamma links.  A change may alter the stream or the
+call count if it says so, so this only reports: it exits 0 whatever the digests are, also
 when a run fails.
 """
 
@@ -21,7 +23,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SMOKE = ["--seed", "1", "--seconds", "5", "--trace", "0"]
+SMOKE = ["--seed", "1", "--seconds", "5", "--trace", "1"]
+CALLS = "inference.py_calls_per_sweep"
 FAMILIES = ("normal", "gamma", "inverse_gamma", "beta", "inverse_beta")
 
 # One small fit on the qvgraph found first on sys.path; argv: family, tree.
@@ -50,16 +53,21 @@ print(h.hexdigest()[:16])
 """
 
 
-def draws_digest(tree: Path, workload: str) -> str:
-    """The ``draws_digest`` of one smoke run, or why there is none."""
+def smoke_run(tree: Path, workload: str) -> tuple[str, str]:
+    """The ``draws_digest`` and the exact Python calls per sweep of one traced
+    smoke run, or why there are none."""
     proc = subprocess.run(
         [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload, *SMOKE],
         capture_output=True, text=True, check=False,
     )
+    digest = calls = f"run failed (exit {proc.returncode})"
     for line in proc.stdout.splitlines():
         if line.startswith("info "):
-            return json.loads(line[len("info "):]).get("draws_digest") or "no draws"
-    return f"run failed (exit {proc.returncode})"
+            digest = json.loads(line[len("info "):]).get("draws_digest") or "no draws"
+        elif line.startswith("{"):
+            metric = json.loads(line).get("metrics", {}).get(CALLS)
+            calls = repr(metric["value"]) if metric else "not measured"
+    return digest, calls
 
 
 def family_digest(tree: Path, family: str) -> str:
@@ -74,15 +82,23 @@ def family_digest(tree: Path, family: str) -> str:
 def main(argv) -> int:
     base, head = (Path(arg).resolve() for arg in argv)
     spec = json.loads((head / "BENCHMARK.json").read_text(encoding="utf-8"))
-    print("### Draw digests against the base commit (seed 1, 5 s smoke runs; "
+    workloads = [w["name"] for w in spec["workloads"]]
+    runs = {(tree, w): smoke_run(tree, w) for w in workloads for tree in (base, head)}
+    print("### Draw digests against the base commit (seed 1, 5 s traced smoke runs; "
           "p = 3 fits with latents per family)\n")
     print("| workload | base | head | |")
     print("|---|---|---|---|")
-    rows = [(w["name"], draws_digest, w["name"]) for w in spec["workloads"]]
-    rows += [(f"family {family}", family_digest, family) for family in FAMILIES]
-    for label, digest_of, key in rows:
-        old, new = digest_of(base, key), digest_of(head, key)
+    rows = [(w, runs[base, w][0], runs[head, w][0]) for w in workloads]
+    rows += [(f"family {family}", family_digest(base, family), family_digest(head, family))
+             for family in FAMILIES]
+    for label, old, new in rows:
         print(f"| {label} | `{old}` | `{new}` | {'equal' if old == new else 'DIFFER'} |")
+    print(f"\n### `{CALLS}` against the base commit (same runs)\n")
+    print("| workload | base | head | |")
+    print("|---|---|---|---|")
+    for w in workloads:
+        old, new = runs[base, w][1], runs[head, w][1]
+        print(f"| {w} | {old} | {new} | {'equal' if old == new else 'DIFFER'} |")
     return 0
 
 

@@ -310,6 +310,10 @@ class MCMCConfig:
             raise DomainError("adapt_window must be >= 1")
         if self.edge_moves < 1:
             raise DomainError("edge_moves must be >= 1")
+        if not 0.0 < self.enum_tail_tol < 1.0:
+            # at 0, below or nan no tail is ever cut; at 1 or above the cut-off
+            # tail may hold as much mass as the largest term
+            raise DomainError("enum_tail_tol must lie strictly between 0 and 1")
         if self.workers is not None and self.workers < 1:
             raise DomainError("workers must be >= 1")
         if self.retained_per_chain < 1:
@@ -362,6 +366,18 @@ class ChainState:
         return self.accept.setdefault(name, [0, 0])
 
 
+def _metropolis(state: ChainState, name: str, log_ratio: float, rng) -> bool:
+    """The accept step of every scalar Metropolis block: count an attempt of
+    block ``name``, reject a ratio that is not finite without drawing a
+    uniform, else accept, and count it, when log U < ``log_ratio``."""
+    counter = state.accept.setdefault(name, [0, 0])  # not state.counter: one call less
+    counter[1] += 1
+    if math.isfinite(log_ratio) and math.log(rng.random()) < log_ratio:
+        counter[0] += 1
+        return True
+    return False
+
+
 def _edge_label(j: int, k: int) -> str:
     return f"c_{j + 1}_{k + 1}"
 
@@ -395,10 +411,8 @@ def log_full_conditional_cjk(state: ChainState, data: Dataset, prior: PriorConfi
     """Log full conditional of the edge intensity between nodes j and k, up to
     an additive constant: the sampler's log-ratio of the candidate against the
     current intensity, links held fixed; -inf outside the support."""
-    if j == k:
-        raise IndexError("edge conditional requires two distinct nodes")
-    j, k = min(j, k), max(j, k)
     kernel = _SweepKernel(get_family(state.family), data, prior, MCMCConfig())
+    j, k, _ = kernel._lookup_pair(state, j, k)
     s_star, _, c_star = kernel._link_block_terms(state)
     terms = kernel._edge_terms(state, s_star, c_star)
     return kernel._pair_candidate(state, j, k, s_star, c_star, float(c_candidate), None,
@@ -535,6 +549,18 @@ class _SweepKernel:
         self.m_y_node = m_y.sum(axis=0)
         self.pairs = node_pairs(self.p)
         self.column = {pair: e for e, pair in enumerate(self.pairs)}  # pair -> its column
+
+    def _lookup_pair(self, state: ChainState, j, k, positive=False):
+        """(j, k) ordered and the pair's column; ``IndexError`` unless j and k
+        are two distinct nodes, and with ``positive`` ``DomainError`` on a zero
+        intensity."""
+        if not (0 <= j < self.p and 0 <= k < self.p and j != k):
+            raise IndexError(f"nodes ({j}, {k}) are not two distinct nodes in 0..{self.p - 1}")
+        j, k = min(j, k), max(j, k)
+        col = self.column[j, k]
+        if positive and float(state.edges[col]) <= 0.0:
+            raise DomainError("link conditional requires a positive edge intensity")
+        return j, k, col
 
     # -- block IV: one pair of link values across all replicates -----------
     def _link_block_terms(self, state: ChainState):
@@ -768,14 +794,9 @@ class _SweepKernel:
     def _update_edge(self, state: ChainState, j, k, rng, s_star, c_star, terms):
         # Random walk on the intensity alone; the links are held fixed.
         name = f"edge_{j + 1}_{k + 1}"
-        counter = state.counter(name)
         new_c, jac = self._propose_intensity(state, name, self.column[j, k], rng)
-        counter[1] += 1
         ratio, cand = self._pair_candidate(state, j, k, s_star, c_star, new_c, None, terms)
-        if ratio == _NEG_INF:
-            return
-        if math.log(rng.random()) < ratio + jac:
-            counter[0] += 1
+        if _metropolis(state, name, ratio + jac, rng):
             self._commit_pair(state, j, k, s_star, c_star, new_c, None, terms, cand)
 
     # -- block refresh of one edge intensity and its link values ----------------
@@ -784,23 +805,21 @@ class _SweepKernel:
         # links from their conditional prior given the anchors; the link
         # density factors cancel, so acceptance rests on the node-level
         # terms alone.  This decouples the intensity from the tight
-        # information its current links carry about it.
+        # information its current links carry about it.  The ratio is -inf
+        # outside the edge prior's support, where no links are drawn (the
+        # draw uses the rng), and where a gamma link draw underflows to 0.
         fam = self.fam
         name = f"refresh_{j + 1}_{k + 1}"
-        counter = state.counter(name)
         new_c, jac = self._propose_intensity(state, name, self.column[j, k], rng)
-        counter[1] += 1
-        if not math.isfinite(self.prior.log_edge_prior(fam, new_c)):
-            return  # checked before the links are drawn, which uses the rng
-        new_s = np.asarray(fam.sample_link(state.w, new_c, rng), dtype=float)
-        if fam.kind is FamilyKind.INVERSE_GAMMA and not np.all(new_s > 0.0):
-            return  # gamma draws can underflow at tiny intensities
-        with np.errstate(divide="ignore", invalid="ignore"):
-            delta, cand = self._pair_candidate(state, j, k, s_star, c_star, new_c, new_s,
-                                               terms, link_level=False)
-            delta += jac
-        if math.isfinite(delta) and math.log(rng.random()) < delta:
-            counter[0] += 1
+        ratio, cand, new_s = _NEG_INF, None, None
+        if math.isfinite(self.prior.log_edge_prior(fam, new_c)):
+            new_s = np.asarray(fam.sample_link(state.w, new_c, rng), dtype=float)
+            if fam.kind is not FamilyKind.INVERSE_GAMMA or np.all(new_s > 0.0):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratio, cand = self._pair_candidate(state, j, k, s_star, c_star, new_c,
+                                                       new_s, terms, link_level=False)
+                    ratio += jac
+        if _metropolis(state, name, ratio, rng):
             self._commit_pair(state, j, k, s_star, c_star, new_c, new_s, terms, cand)
 
     # -- joint rescale of one edge intensity and its link values ---------------
@@ -809,18 +828,13 @@ class _SweepKernel:
         # breaks the ridge between an intensity and its links.  Only applies
         # to continuous-link families.
         name = f"scale_{j + 1}_{k + 1}"
-        counter = state.counter(name)
         eps = rng.normal(0.0, state.step_sizes[name])
         factor = math.exp(eps)
         col = self.column[j, k]
         new_c = float(state.edges[col]) * factor
         new_s = state.links[:, col] * factor
-        counter[1] += 1
         ratio, cand = self._pair_candidate(state, j, k, s_star, c_star, new_c, new_s, terms)
-        if ratio == _NEG_INF:
-            return
-        if math.log(rng.random()) < ratio + (self.n + 1.0) * eps:
-            counter[0] += 1
+        if _metropolis(state, name, ratio + (self.n + 1.0) * eps, rng):
             self._commit_pair(state, j, k, s_star, c_star, new_c, new_s, terms, cand)
 
     # -- block II: c0 ----------------------------------------------------------
@@ -838,16 +852,12 @@ class _SweepKernel:
                 - c0 * (self.m_y_total + terms.m_w_total) + lp)
 
     def _update_c0(self, state: ChainState, rng, terms, edge_rowsum):
-        counter = state.counter("c0")
         cur = state.c0
         prop = cur * math.exp(rng.normal(0.0, state.step_sizes["c0"]))
-        counter[1] += 1
         lo = self._log_target_c0(prop, state.s0, terms, edge_rowsum)
-        if lo == _NEG_INF:
-            return
-        lc = self._log_target_c0(cur, state.s0, terms, edge_rowsum)
-        if math.log(rng.random()) < lo - lc + math.log(prop) - math.log(cur):
-            counter[0] += 1
+        # outside the support (beta: c0 <= s0) the ratio is -inf whatever lc is
+        lc = self._log_target_c0(cur, state.s0, terms, edge_rowsum) if lo != _NEG_INF else 0.0
+        if _metropolis(state, "c0", lo - lc + math.log(prop) - math.log(cur), rng):
             state.c0 = prop
 
     # -- block I: s0 -------------------------------------------------------------
@@ -865,17 +875,12 @@ class _SweepKernel:
         return h_sum + self.n * float(fam.log_h(s0, c0)) + s0 * theta_total + lp
 
     def _update_s0(self, state: ChainState, rng, link_rowsum, c_star, theta_w_total):
-        counter = state.counter("s0")
         cur = state.s0
-        counter[1] += 1
         prop, jac = self.prior.s0_prior.propose(cur, state.c0, state.step_sizes["s0"], rng)
         args = (state.c0, c_star, link_rowsum, theta_w_total)
         lo = self._log_target_s0(prop, *args)
-        if lo == _NEG_INF:
-            return
-        lc = self._log_target_s0(cur, *args)
-        if math.log(rng.random()) < lo - lc + jac:
-            counter[0] += 1
+        lc = self._log_target_s0(cur, *args) if lo != _NEG_INF else 0.0
+        if _metropolis(state, "s0", lo - lc + jac, rng):
             state.s0 = prop
 
     # -- full systematic scan ------------------------------------------------------
@@ -937,11 +942,8 @@ def sample_link_conditional(state: ChainState, data: Dataset, i: int, j: int, k:
     """
     config = config or MCMCConfig()
     kernel = _SweepKernel(get_family(state.family), data, PriorConfig.default_for(state.family), config)
+    j, k, col = kernel._lookup_pair(state, j, k, positive=True)
     _ensure_steps(state, config)
-    j, k = min(j, k), max(j, k)
-    col = kernel.column[j, k]
-    if float(state.edges[col]) <= 0.0:
-        raise DomainError("link conditional requires a positive edge intensity")
     kernel._update_links_pair(state, j, k, rng, *kernel._link_block_terms(state),
                               idx=np.array([i]))
     return float(state.links[i, col])
@@ -976,11 +978,9 @@ def link_conditional_pmf(state: ChainState, data: Dataset, i: int, j: int, k: in
     fam = get_family(state.family)
     if not fam.discrete_links:
         raise DomainError(f"{fam.kind.value}: link conditional is not discrete")
-    j, k = min(j, k), max(j, k)
     kernel = _SweepKernel(fam, data, PriorConfig.default_for(fam), config)
-    c_jk = float(state.edges[kernel.column[j, k]])
-    if c_jk <= 0.0:
-        raise DomainError("link conditional requires a positive edge intensity")
+    j, k, col = kernel._lookup_pair(state, j, k, positive=True)
+    c_jk = float(state.edges[col])
     sel = np.array([i])
     _, *terms = kernel._pair_terms(state, j, k, *kernel._link_block_terms(state), sel)
     values, g = kernel._enumerate_links(j, k, c_jk, *terms, sel)
@@ -997,10 +997,10 @@ def link_conditional_normal_coeffs(state: ChainState, data: Dataset, i: int, j: 
     fam = get_family(state.family)
     if fam.kind is not FamilyKind.NORMAL:
         raise DomainError("completed-square coefficients exist for the normal family only")
-    j, k = min(j, k), max(j, k)
     kernel = _SweepKernel(fam, data, PriorConfig.default_for(fam), MCMCConfig())
+    j, k, col = kernel._lookup_pair(state, j, k)
     _, *terms = kernel._pair_terms(state, j, k, *kernel._link_block_terms(state), np.array([i]))
-    mean, sd = _normal_link_moments(float(state.edges[kernel.column[j, k]]), *terms)
+    mean, sd = _normal_link_moments(float(state.edges[col]), *terms)
     return float(mean[0]), float(sd)
 
 
@@ -1386,6 +1386,10 @@ def predictive_mse(samples: PosteriorSamples, data: Dataset, rng) -> float:
         raise DomainError("predictive_mse requires samples retained with latents")
     if samples.retained == 0:
         raise DomainError("predictive_mse requires at least one retained draw")
+    fitted = (samples.links.shape[2], len(samples.node_names))
+    if data.y.shape != fitted:
+        raise DomainError(f"data of shape (n, p) = {data.y.shape} do not match the samples, "
+                          f"fitted at {fitted}")
     rng = _as_rng(rng)
     fam = get_family(samples.family)
     total = 0.0

@@ -15,7 +15,9 @@ import numpy as np
 from .errors import DataFormatError, DomainError, ManifestError
 from .families import FamilyKind, get_family
 from .inference import (
+    GammaS0Prior,
     MCMCConfig,
+    NormalS0Prior,
     PosteriorSamples,
     PriorConfig,
     StepSizes,
@@ -344,30 +346,30 @@ class RunConfig:
     family: str = "normal"
     input: str | None = None
     output_dir: str | None = None
-    # prior constants
-    a0: float = 1.0
-    b0: float = 1.0
-    d0: float = 1.0
-    ac: float = 0.01
-    bc: float = 0.01
-    mu_s: float = 0.0
-    tau_s: float = 0.01
-    a_s: float = 0.01
-    b_s: float = 0.01
-    # chain controls
-    iterations: int = 105_000
-    burn_in: int = 15_000
-    thinning: int = 40
-    chains: int = 2
-    seed: int = 0
-    step_s0: float = 0.5
-    step_c0: float = 0.5
-    step_edge: float = 0.5
-    step_link: float = 0.8
-    enum_tail_tol: float = 1e-12
-    adapt_window: int = 50
-    edge_moves: int = 3
-    keep_latents: bool = True
+    # prior constants, defaulting to the library's
+    a0: float = PriorConfig.a0
+    b0: float = PriorConfig.b0
+    d0: float = PriorConfig.d0
+    ac: float = PriorConfig.ac
+    bc: float = PriorConfig.bc
+    mu_s: float = NormalS0Prior.mu
+    tau_s: float = NormalS0Prior.tau
+    a_s: float = GammaS0Prior.a
+    b_s: float = GammaS0Prior.b
+    # chain controls, defaulting to the library's
+    iterations: int = MCMCConfig.iterations
+    burn_in: int = MCMCConfig.burn_in
+    thinning: int = MCMCConfig.thinning
+    chains: int = MCMCConfig.chains
+    seed: int = MCMCConfig.seed
+    step_s0: float = StepSizes.s0
+    step_c0: float = StepSizes.c0
+    step_edge: float = StepSizes.edge
+    step_link: float = StepSizes.link
+    enum_tail_tol: float = MCMCConfig.enum_tail_tol
+    adapt_window: int = MCMCConfig.adapt_window
+    edge_moves: int = MCMCConfig.edge_moves
+    keep_latents: bool = MCMCConfig.keep_latents
     # preprocessing
     standardize_plus3: bool = False
     reciprocal_transform: bool = False

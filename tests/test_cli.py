@@ -99,6 +99,15 @@ class TestFitFlow:
                     "--seed", 1]) == 0
         assert "posterior mean MSE" in capsys.readouterr().out
 
+    def test_mse_on_data_of_another_shape_fails_cleanly(self, workdir, capsys):
+        out = self.fit_small(workdir)  # n = 40, p = 2
+        other = workdir / "other.csv"
+        run(["simulate", "--family", "normal", "--s0", 0.5, "--c0", 2.0,
+             "--edge-file", self.edges(workdir), "--n", 30, "--seed", 5, "--out", other])
+        capsys.readouterr()
+        assert run(["mse", "--samples", out, "--data", other]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_config_file_flow(self, workdir):
         data_csv = workdir / "data.csv"
         run(["simulate", "--family", "normal", "--s0", 0.5, "--c0", 2.0,

@@ -30,7 +30,7 @@ from qvgraph.inference import (
     split_chain_psrf,
     summarize,
 )
-from qvgraph.model import Dataset, ModelParams, node_sums, simulate
+from qvgraph.model import Dataset, ModelParams, node_pairs, node_sums, simulate
 from qvgraph.verify import scipy_link_logpdf, scipy_log_joint
 
 from conftest import ks_statistic, ks_threshold, permute_pairs
@@ -161,6 +161,13 @@ class TestMCMCConfig:
         with pytest.raises(DomainError, match="retain no draws"):
             MCMCConfig(iterations=10, burn_in=5, thinning=10)
         assert MCMCConfig(iterations=10, burn_in=5, thinning=5).retained_per_chain == 1
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, 1.0, 1.5])
+    def test_enum_tail_tol_outside_the_unit_interval_rejected(self, tol):
+        # construction only: a fit at such a value would double its grid to the cap
+        with pytest.raises(DomainError, match="enum_tail_tol"):
+            MCMCConfig(enum_tail_tol=tol)
+        assert MCMCConfig(enum_tail_tol=0.5).enum_tail_tol == 0.5
 
 
 class TestChainStateLayout:
@@ -413,6 +420,78 @@ class _CheckingKernel(inference._SweepKernel):
         return super().sweep(state, rng)
 
 
+class _Uniforms:
+    """A generator stub whose scalar uniforms come from a list; it fails on
+    any other draw."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+class TestMetropolisStep:
+    """The accept step every scalar block shares."""
+
+    def state(self):
+        return make_state(FamilyKind.NORMAL)[2]
+
+    @pytest.mark.parametrize("ratio", [-math.inf, math.inf, math.nan])
+    def test_ratio_not_finite_is_rejected_without_a_draw(self, ratio):
+        state = self.state()
+        assert not inference._metropolis(state, "edge_1_2", ratio, _Uniforms())
+        assert state.accept == {"edge_1_2": [0, 1]}
+
+    def test_accepts_when_log_uniform_is_below_the_ratio(self):
+        state = self.state()
+        rng = _Uniforms(0.5, 0.5, 0.5)  # log 0.5 = -0.693
+        assert inference._metropolis(state, "c0", 0.0, rng)
+        assert not inference._metropolis(state, "c0", -1.0, rng)
+        assert inference._metropolis(state, "c0", -0.5, rng)
+        assert state.accept["c0"] == [2, 3] and rng.values == []
+
+
+class TestAttemptBookkeeping:
+    """Every block counts each of its attempts, accepted or not."""
+
+    @pytest.mark.parametrize("kind", INFERENCE_KINDS)
+    def test_each_block_counts_every_attempt(self, kind, monkeypatch):
+        params, data, _ = make_state(kind, n=6)
+        prior = PriorConfig.default_for(kind)
+        config = MCMCConfig(edge_moves=2)
+        fam = get_family(kind)
+        state = initial_state(kind, data, prior, config, 0, np.random.default_rng(3))
+        if fam.integer_intensity:
+            # from intensity 1 the +-1 refresh can propose 0, which is
+            # rejected before any link is drawn
+            assert np.all(state.edges == 1.0)
+        link_draws = []
+        original = type(fam).sample_link
+        monkeypatch.setattr(type(fam), "sample_link",
+                            lambda self, *args: link_draws.append(1) or original(self, *args))
+        sweeps = 3
+        rng = np.random.default_rng(8)
+        for _ in range(sweeps):
+            gibbs_sweep(state, data, prior, config, rng)
+        per_pair = sweeps * config.edge_moves
+        expected = {"c0": sweeps, "s0": sweeps}
+        for j, k in node_pairs(3):
+            label = f"{j + 1}_{k + 1}"
+            expected[f"edge_{label}"] = expected[f"refresh_{label}"] = per_pair
+            if not fam.discrete_links:
+                expected[f"scale_{label}"] = per_pair
+            if kind is FamilyKind.INVERSE_GAMMA:
+                expected[f"link_{label}"] = sweeps * data.n  # the second, counted accept
+        assert {name: tries for name, (_, tries) in state.accept.items()} == expected
+        assert all(0 <= acc <= tries for acc, tries in state.accept.values())
+        refreshes = len(node_pairs(3)) * per_pair
+        if fam.integer_intensity:
+            assert len(link_draws) < refreshes
+        else:
+            assert len(link_draws) == refreshes
+
+
 def accepted_moves(state, move):
     return sum(acc for name, (acc, _) in state.accept.items() if name.startswith(move + "_"))
 
@@ -622,6 +701,33 @@ class TestLinkConditional:
         monkeypatch.setattr(inference, "_enum_link_logmass", no_grid)
         with np.errstate(divide="ignore"), pytest.raises(DomainError, match="replicate 0"):
             sample_link_conditional(state, data, 0, 0, 1, rng)
+
+    def test_pmf_requires_positive_intensity(self):
+        params, data, state = make_state(FamilyKind.GAMMA)
+        state.edges[2] = 0.0
+        with pytest.raises(DomainError, match="positive edge intensity"):
+            link_conditional_pmf(state, data, 0, 2, 1)
+
+    def test_node_order_does_not_matter(self):
+        params, data, state = make_state(FamilyKind.NORMAL)
+        assert (link_conditional_normal_coeffs(state, data, 0, 2, 1)
+                == link_conditional_normal_coeffs(state, data, 0, 1, 2))
+
+    @pytest.mark.parametrize("nodes", [(1, 1), (0, 5), (5, 0), (-1, 2)])
+    @pytest.mark.parametrize("call", ["sample", "pmf", "normal_coeffs", "cjk"])
+    def test_bad_node_pair_is_an_index_error(self, call, nodes, rng):
+        kind = FamilyKind.NORMAL if call == "normal_coeffs" else FamilyKind.GAMMA
+        params, data, state = make_state(kind)
+        j, k = nodes
+        run = {
+            "sample": lambda: sample_link_conditional(state, data, 0, j, k, rng),
+            "pmf": lambda: link_conditional_pmf(state, data, 0, j, k),
+            "normal_coeffs": lambda: link_conditional_normal_coeffs(state, data, 0, j, k),
+            "cjk": lambda: log_full_conditional_cjk(state, data, PriorConfig.default_for(kind),
+                                                    j, k, 1.0),
+        }[call]
+        with pytest.raises(IndexError, match="two distinct nodes"):
+            run()
 
     def test_tiny_enumeration_cap_overflows(self, rng):
         params, data, state = make_state(FamilyKind.GAMMA, n=1)
@@ -936,6 +1042,21 @@ class TestPredictiveMse:
         )
         with pytest.raises(DomainError):
             predictive_mse(samples, Dataset(y=np.zeros((2, 2))), 0)
+
+    @pytest.mark.parametrize("shape", [(40, 3), (30, 5)])
+    def test_data_of_another_shape_rejected(self, shape):
+        from qvgraph.inference import PosteriorSamples
+
+        # fitted at n = 40, p = 5 (10 pairs)
+        samples = PosteriorSamples(
+            family=FamilyKind.NORMAL, node_names=[f"y{i}" for i in range(1, 6)],
+            pairs=node_pairs(5), s0=np.zeros((1, 2)), c0=np.ones((1, 2)),
+            edges=np.ones((1, 2, 10)), w=np.zeros((1, 2, 40)), links=np.zeros((1, 2, 40, 10)),
+            meta={},
+        )
+        with pytest.raises(DomainError, match="do not match"):
+            predictive_mse(samples, Dataset(y=np.zeros(shape)), 0)
+        assert predictive_mse(samples, Dataset(y=np.zeros((40, 5))), 0) > 0.0
 
     def test_run_to_run_stability(self):
         edges = np.array([[0.0, 1.5], [1.5, 0.0]])

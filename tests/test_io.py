@@ -246,6 +246,14 @@ class TestRunConfig:
         with pytest.raises(DataFormatError):
             config.set_option("keep_latents", "maybe")
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "1.5"])
+    def test_enum_tail_tol_outside_the_unit_interval_rejected(self, value):
+        # construction only: a fit at such a value would double its grid to the cap
+        config = RunConfig()
+        config.set_option("enum_tail_tol", value)
+        with pytest.raises(DomainError, match="enum_tail_tol"):
+            config.mcmc_config()
+
     def test_hash_changes_with_any_field(self):
         base = RunConfig()
         h0 = base.config_hash()
