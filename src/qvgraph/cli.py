@@ -80,12 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_edge_matrix(path) -> np.ndarray:
-    rows = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line:
-            rows.append([float(cell) for cell in line.split(",")])
-    return np.asarray(rows, dtype=float)
+    return io._parse_numbers(path, io._parse_rows(path))
 
 
 def _cmd_simulate(args) -> int:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import integrate, interpolate, special
+from scipy import special
 
 from .errors import DomainError, GridConvergenceError
 
@@ -572,6 +572,8 @@ def _gsst_log_b(s, c):
 
 @functools.lru_cache(maxsize=4096)
 def _gsst_log_h_scalar(s: float, c: float) -> float:
+    from scipy import integrate  # deferred: only gsst needs quadrature
+
     # After the substitution w = tan(phi) the normalizing integral becomes
     # int_{-pi/2}^{pi/2} exp(s*phi) * cos(phi)**c dphi, a smooth compact
     # integral; factor out its peak before adaptive quadrature.
@@ -599,6 +601,8 @@ class _InverseCdfTable:
     __slots__ = ("_interp",)
 
     def __init__(self, x, logpdf):
+        from scipy import integrate, interpolate  # deferred: only gsst builds tables
+
         m = float(np.max(logpdf))
         pdf = np.exp(logpdf - m)
         cdf = integrate.cumulative_trapezoid(pdf, x, initial=0.0)
@@ -655,6 +659,8 @@ class ScaledStudentFamily(Family):
     V(mu) = 1 + mu**2.  The level normalizer has no closed form and is
     computed by adaptive quadrature (cached per parameter pair); both
     samplers invert cached numeric CDF grids with monotone interpolation.
+    ``scipy.integrate`` and ``scipy.interpolate`` are imported on the first
+    quadrature or table build, not with the package.
     """
 
     kind = FamilyKind.GSST

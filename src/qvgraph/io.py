@@ -53,6 +53,26 @@ def _parse_rows(path: Path):
     return rows
 
 
+def _parse_numbers(path: Path, rows, first_row_number: int = 1) -> np.ndarray:
+    """Parse CSV rows into a float matrix, naming the 1-based row/column of a bad cell."""
+    width = len(rows[0])
+    values = np.empty((len(rows), width), dtype=float)
+    for i, row in enumerate(rows):
+        row_number = i + first_row_number
+        if len(row) != width:
+            raise DataFormatError(
+                f"{path}: row {row_number} has {len(row)} fields, expected {width}"
+            )
+        for j, cell in enumerate(row):
+            try:
+                values[i, j] = float(cell)
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}: could not parse {cell!r} (row {row_number}, column {j + 1})"
+                ) from None
+    return values
+
+
 def load_dataset(path, family) -> Dataset:
     """Read a CSV with one replicate per row, validating against the family.
 
@@ -74,23 +94,7 @@ def load_dataset(path, family) -> Dataset:
         if not rows:
             raise DataFormatError(f"{path}: header present but no data rows")
 
-    width = len(rows[0])
-    values = np.empty((len(rows), width), dtype=float)
-    for i, row in enumerate(rows):
-        row_number = i + (2 if header else 1)
-        if len(row) != width:
-            raise DataFormatError(
-                f"{path}: row {row_number} has {len(row)} fields, expected {width}"
-            )
-        for j, cell in enumerate(row):
-            try:
-                values[i, j] = float(cell)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: could not parse {cell!r} (row {row_number}, column {j + 1})"
-                ) from None
-
-    data = Dataset(y=values, node_names=header or [])
+    data = Dataset(y=_parse_numbers(path, rows, 2 if header else 1), node_names=header or [])
     data.validate_support(fam)
     return data
 

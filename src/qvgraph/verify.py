@@ -6,6 +6,10 @@ integrate the exported log densities numerically, and Monte-Carlo checks
 compare forward simulations against the closed-form moment and correlation
 formulas under a 3-standard-error rule (widened to 4 when a bundle carries
 more than 20 simultaneous checks).
+
+``scipy.stats`` and ``scipy.integrate`` are imported inside the oracles that
+use them, on their first call, so ``import qvgraph`` (which imports this
+module) loads neither; no fit or post-processing step needs them.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
 
 from .errors import DomainError
 from .families import FamilyKind, get_family
@@ -141,6 +144,8 @@ def mc_correlation_check(params: ModelParams, replicates: int, rng) -> list[Orac
 
 def scipy_link_logpdf(family, s, w, c):
     """Link log density (or mass) of s given anchor w and intensity c, via scipy.stats."""
+    from scipy import stats
+
     kind = get_family(family).kind
     if kind is FamilyKind.NORMAL:
         return stats.norm.logpdf(s, c * w, c**0.5)
@@ -163,6 +168,8 @@ def scipy_log_joint(family, y, w, links, s0, c0, edges, prior: PriorConfig) -> f
     priors from named distributions; shares nothing with the package's own
     density code beyond the family tags.
     """
+    from scipy import stats
+
     kind = get_family(family).kind
     n, p = y.shape
     total = 0.0
@@ -389,6 +396,8 @@ def density_normalization_check(family, s, c, w=None) -> list[OracleReport]:
     1e-6 at the anchor level, 1e-8 at the link level); discrete link masses
     are summed until the tail drops below 1e-12.
     """
+    from scipy import integrate
+
     fam = get_family(family)
     lo, hi = _INTEGRATION_BOUNDS[fam.kind]
     reports = []

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qvgraph
 from qvgraph.cli import main
 from qvgraph.io import load_dataset, load_samples
 
@@ -37,6 +42,18 @@ class TestSimulateCommand:
                     "--edge-file", edge_file, "--n", 20, "--out", out])
         assert code == 0
         assert load_dataset(out, "normal").p == 2
+
+    @pytest.mark.parametrize("text, where", [("0,1\n1\n", "row 2 has 1 fields"),
+                                             ("0,1\n1,x\n", "row 2, column 2")])
+    def test_bad_edge_file_fails_cleanly(self, workdir, capsys, text, where):
+        edge_file = workdir / "edges.csv"
+        edge_file.write_text(text)
+        code = run(["simulate", "--family", "normal", "--s0", 0.0, "--c0", 2.0,
+                    "--edge-file", edge_file, "--n", 20, "--out", workdir / "data.csv"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(edge_file) in err and where in err
+        assert "Traceback" not in err
 
     def test_missing_edges_is_runtime_error(self, workdir, capsys):
         code = run(["simulate", "--n", 10, "--out", workdir / "x.csv"])
@@ -144,3 +161,12 @@ class TestCheckCommand:
         with pytest.raises(SystemExit) as err:
             run(["frobnicate"])
         assert err.value.code == 2
+
+
+def test_python_dash_m_qvgraph_help():
+    src = str(Path(qvgraph.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "qvgraph", "--help"], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: qvgraph" in proc.stdout
