@@ -50,7 +50,7 @@ class ChainError(QvgraphError, RuntimeError):
 
 
 class DataFormatError(QvgraphError, ValueError):
-    """A data or configuration file could not be parsed."""
+    """A data or configuration file could not be read or parsed."""
 
 
 class ManifestError(QvgraphError, ValueError):

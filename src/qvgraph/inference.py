@@ -2,13 +2,16 @@
 
 The sampler augments the observations with the per-replicate anchors and link
 values and cycles through five blocks in a fixed order: all link values, all
-anchors, every edge intensity, the global concentration c0 and the global
-location s0.  Links and anchors are conditionally independent across
-replicates and are updated as vectors; anchors and the normal-family links
-have exact conjugate draws, discrete links are drawn by exact enumeration,
-the continuous gamma-type links and all top-level parameters use random-walk
-Metropolis steps on transformed scales with step sizes adapted toward a 0.44
-acceptance rate during burn-in only.
+anchors (exact conjugate draws), every edge intensity, the global
+concentration c0 and the global location s0.  Each family's schedule, its
+link draw, edge moves and intensity proposal, is in ``_SCHEDULES``.  Links are
+drawn exactly, by the completed square (normal) or by enumeration (gamma, beta,
+inverse beta), or by an independence step from their prior and a log-scale
+random walk (inverse gamma).  Each edge gets a random walk on its intensity, a
+joint rescale with its links (normal and inverse gamma only: a discrete link
+cannot be rescaled) and a refresh of its links; the walk steps by +-1 on the
+integer intensities of beta and inverse beta and on the log scale otherwise.
+Random-walk step sizes adapt toward a 0.44 acceptance rate during burn-in only.
 
 A chain state stores its links (n, P) and edge intensities (P,) by node pair
 in ``node_pairs(p)`` order, as ``Latents`` and ``PosteriorSamples`` do.  The
@@ -194,13 +197,17 @@ class UniformOnC0S0Prior:
         return prop, math.log(prop) + math.log(c0 - prop) - math.log(cur) - math.log(c0 - cur)
 
 
-_S0_PRIOR_FORMS = {
-    FamilyKind.NORMAL: NormalS0Prior,
-    FamilyKind.GSST: NormalS0Prior,
-    FamilyKind.GAMMA: GammaS0Prior,
-    FamilyKind.INVERSE_GAMMA: GammaS0Prior,
-    FamilyKind.INVERSE_BETA: GammaS0Prior,
-    FamilyKind.BETA: UniformOnC0S0Prior,
+# Each family's sampler (see the module docstring): its s0 prior form and, by
+# ``_SweepKernel`` method name, its link draw, edge moves and intensity proposal.
+_ALL_MOVES = ("_update_edge", "_update_edge_scale", "_update_edge_refresh")
+_NO_SCALE = ("_update_edge", "_update_edge_refresh")
+_SCHEDULES = {
+    FamilyKind.NORMAL: (NormalS0Prior, "_normal_links", _ALL_MOVES, "_log_step"),
+    FamilyKind.GAMMA: (GammaS0Prior, "_enumerated_links", _NO_SCALE, "_log_step"),
+    FamilyKind.INVERSE_GAMMA: (GammaS0Prior, "_inverse_gamma_links", _ALL_MOVES, "_log_step"),
+    FamilyKind.BETA: (UniformOnC0S0Prior, "_enumerated_links", _NO_SCALE, "_integer_step"),
+    FamilyKind.INVERSE_BETA: (GammaS0Prior, "_enumerated_links", _NO_SCALE, "_integer_step"),
+    FamilyKind.GSST: (NormalS0Prior, None, (), None),  # no posterior inference
 }
 
 
@@ -230,13 +237,12 @@ class PriorConfig:
 
     @classmethod
     def default_for(cls, family, **kwargs) -> "PriorConfig":
-        kind = get_family(family).kind
-        form = _S0_PRIOR_FORMS[kind]
+        form = _SCHEDULES[get_family(family).kind][0]
         return cls(s0_prior=form(), **kwargs)
 
     def validate_for(self, family) -> None:
         kind = get_family(family).kind
-        expected = _S0_PRIOR_FORMS[kind]
+        expected = _SCHEDULES[kind][0]
         if type(self.s0_prior) is not expected:
             raise DomainError(
                 f"s0 prior form {type(self.s0_prior).__name__} does not match the "
@@ -362,15 +368,12 @@ class ChainState:
         """Number of nodes, from the P = p(p-1)/2 edge intensities."""
         return (1 + math.isqrt(1 + 8 * self.edges.shape[0])) // 2
 
-    def counter(self, name: str) -> list:
-        return self.accept.setdefault(name, [0, 0])
-
 
 def _metropolis(state: ChainState, name: str, log_ratio: float, rng) -> bool:
     """The accept step of every scalar Metropolis block: count an attempt of
     block ``name``, reject a ratio that is not finite without drawing a
     uniform, else accept, and count it, when log U < ``log_ratio``."""
-    counter = state.accept.setdefault(name, [0, 0])  # not state.counter: one call less
+    counter = state.accept.setdefault(name, [0, 0])
     counter[1] += 1
     if math.isfinite(log_ratio) and math.log(rng.random()) < log_ratio:
         counter[0] += 1
@@ -534,9 +537,13 @@ class _SweepKernel:
     summaries theta(y) and M(y) that every sweep reuses."""
 
     def __init__(self, fam: Family, data: Dataset, prior: PriorConfig, config: MCMCConfig):
-        if fam.kind is FamilyKind.GSST:
+        _, links, moves, step = _SCHEDULES[fam.kind]
+        if links is None:  # gsst
             raise DomainError("posterior inference is not available for the gsst family")
         prior.validate_for(fam)
+        # bound by name, so a subclass override or an earlier class patch is what sweeps call
+        self._draw_links, self._propose_intensity = getattr(self, links), getattr(self, step)
+        self._edge_moves = [getattr(self, move) for move in moves]
         self.fam = fam
         self.data = data
         self.prior = prior
@@ -614,68 +621,64 @@ class _SweepKernel:
         )
 
     def _update_links_pair(self, state: ChainState, j, k, rng, s_star, theta_w, c_node,
-                           idx=None):
-        fam = self.fam
+                           sel=slice(None)):
         col = self.column[j, k]
         c_jk = float(state.edges[col])
         if c_jk == 0.0:
             return
-        sel = slice(None) if idx is None else idx
-        orig, a_j, a_k, cj, ck, t_sum = self._pair_terms(
-            state, j, k, s_star, theta_w, c_node, sel
-        )
-        cur = orig
-
-        if fam.kind is FamilyKind.NORMAL:
-            mean, sd = _normal_link_moments(c_jk, a_j, a_k, cj, ck, t_sum)
-            new = rng.normal(mean, sd)
-        elif fam.discrete_links:
-            values, g = self._enumerate_links(j, k, c_jk, a_j, a_k, cj, ck, t_sum, sel)
-            new = values[_rows_softmax_sample(g, rng)]
-        elif fam.kind is FamilyKind.INVERSE_GAMMA:
-            # log h(s, c) = (c + 1) log s - const, log b(t, c) = (c - 1) log t - const
-            t_y = t_sum - theta_w[sel]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                # independence refresh: propose from the conditional link prior
-                # Ga(c_jk, scale w); the proposal cancels everything except the
-                # two level-normalizer factors and the observation tilt
-                # (rng.gamma(shape=c_jk, scale=w) gives the same, slower)
-                prop = rng.standard_gamma(c_jk, size=cur.shape) * state.w[sel]
-                log_j_prop, log_j_cur = np.log(a_j + prop), np.log(a_j + cur)
-                log_k_prop, log_k_cur = np.log(a_k + prop), np.log(a_k + cur)
-                delta = (
-                    (cj + 1.0) * (log_j_prop - log_j_cur)
-                    + (ck + 1.0) * (log_k_prop - log_k_cur)
-                    + (prop - cur) * t_y
-                )
-                accept = (np.log(rng.random(cur.shape[0])) < delta) & (prop > 0.0)
-                cur = np.where(accept, prop, cur)
-                log_j_cur = np.where(accept, log_j_prop, log_j_cur)  # log(a_j + cur)
-                log_k_cur = np.where(accept, log_k_prop, log_k_cur)
-                # local log-scale random walk
-                step = state.step_sizes[f"link_{j + 1}_{k + 1}"]
-                eps = rng.normal(0.0, step, size=cur.shape)
-                prop = cur * np.exp(eps)
-                log_ratio = np.log(prop) - np.log(cur)
-                delta = (
-                    (cj + 1.0) * (np.log(a_j + prop) - log_j_cur)
-                    + (ck + 1.0) * (np.log(a_k + prop) - log_k_cur)
-                    + (c_jk - 1.0) * log_ratio
-                    + (prop - cur) * t_sum
-                    + log_ratio  # log-scale proposal Jacobian
-                )
-                accept = (np.log(rng.random(cur.shape[0])) < delta) & (prop > 0.0)
-            new = np.where(accept, prop, cur)
-            counter = state.counter(f"link_{j + 1}_{k + 1}")
-            counter[0] += int(accept.sum())
-            counter[1] += int(accept.size)
-        else:  # pragma: no cover - guarded in __init__
-            raise DomainError(f"no link conditional for family {fam.kind.value}")
-
-        delta_s = new - orig
+        terms = self._pair_terms(state, j, k, s_star, theta_w, c_node, sel)
+        new = self._draw_links(state, j, k, rng, sel, theta_w, c_jk, terms)
+        delta_s = new - terms[0]
         state.links[sel, col] = new
         s_star[sel, j] += delta_s
         s_star[sel, k] += delta_s
+
+    # The family's link draw of pair (j, k) on rows ``sel``, from the inputs
+    # ``terms`` that ``_pair_terms`` returns; each returns the new link values.
+    def _normal_links(self, state: ChainState, j, k, rng, sel, theta_w, c_jk, terms):
+        return rng.normal(*_normal_link_moments(c_jk, *terms[1:]))  # exact
+
+    def _enumerated_links(self, state: ChainState, j, k, rng, sel, theta_w, c_jk, terms):
+        values, g = self._enumerate_links(j, k, c_jk, *terms[1:], sel)  # exact
+        return values[_rows_softmax_sample(g, rng)]
+
+    def _inverse_gamma_links(self, state: ChainState, j, k, rng, sel, theta_w, c_jk, terms):
+        # log h(s, c) = (c + 1) log s - const, log b(t, c) = (c - 1) log t - const
+        cur, a_j, a_k, cj, ck, t_sum = terms
+        t_y = t_sum - theta_w[sel]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # independence refresh: propose from the conditional link prior
+            # Ga(c_jk, scale w); the proposal cancels everything except the
+            # two level-normalizer factors and the observation tilt
+            # (rng.gamma(shape=c_jk, scale=w) gives the same, slower)
+            prop = rng.standard_gamma(c_jk, size=cur.shape) * state.w[sel]
+            log_j_prop, log_j_cur = np.log(a_j + prop), np.log(a_j + cur)
+            log_k_prop, log_k_cur = np.log(a_k + prop), np.log(a_k + cur)
+            delta = (
+                (cj + 1.0) * (log_j_prop - log_j_cur)
+                + (ck + 1.0) * (log_k_prop - log_k_cur)
+                + (prop - cur) * t_y
+            )
+            accept = (np.log(rng.random(cur.shape[0])) < delta) & (prop > 0.0)
+            cur = np.where(accept, prop, cur)
+            log_j_cur = np.where(accept, log_j_prop, log_j_cur)  # log(a_j + cur)
+            log_k_cur = np.where(accept, log_k_prop, log_k_cur)
+            # local log-scale random walk
+            eps = rng.normal(0.0, state.step_sizes[f"link_{j + 1}_{k + 1}"], size=cur.shape)
+            prop = cur * np.exp(eps)
+            log_ratio = np.log(prop) - np.log(cur)
+            delta = (
+                (cj + 1.0) * (np.log(a_j + prop) - log_j_cur)
+                + (ck + 1.0) * (np.log(a_k + prop) - log_k_cur)
+                + (c_jk - 1.0) * log_ratio
+                + (prop - cur) * t_sum
+                + log_ratio  # log-scale proposal Jacobian
+            )
+            accept = (np.log(rng.random(cur.shape[0])) < delta) & (prop > 0.0)
+        counter = state.accept.setdefault(f"link_{j + 1}_{k + 1}", [0, 0])
+        counter[0] += int(accept.sum())
+        counter[1] += int(accept.size)
+        return np.where(accept, prop, cur)
 
     # -- block V: anchors ----------------------------------------------------
     def _update_anchors(self, state: ChainState, rng):
@@ -702,9 +705,9 @@ class _SweepKernel:
         )
 
     def _pair_candidate(self, state: ChainState, j, k, s_star, c_star, new_c, new_s, terms,
-                        link_level=True):
+                        link_level=True, lp_new=None):
         """Log target ratio of moving edge (j, k) and its links to (new_c, new_s),
-        with the candidate's sums.
+        with the candidate's sums; ``lp_new`` is its log edge prior if known.
 
         Such a move changes only the node levels j and k, the pair's link
         level and its edge prior.  Each node adds
@@ -722,7 +725,7 @@ class _SweepKernel:
         prior)); (-inf, None) outside the support.
         """
         fam, col = self.fam, self.column[j, k]
-        lp_new = self.prior.log_edge_prior(fam, new_c)
+        lp_new = self.prior.log_edge_prior(fam, new_c) if lp_new is None else lp_new
         links = state.links[:, col] if new_s is None else new_s
         if not math.isfinite(lp_new) or (
             fam.kind is FamilyKind.BETA and np.any(links > new_c)
@@ -781,13 +784,12 @@ class _SweepKernel:
         terms.b_pair[col], terms.b_stat[col] = b_new
         terms.lp_pair[col] = lp_new
 
-    def _propose_intensity(self, state: ChainState, name, col, rng):
-        """Random-walk proposal for the edge intensity in column ``col`` and its
-        log Jacobian: a step of +-1 for integer intensities, a log-scale step
-        otherwise."""
+    # The family's proposal for the edge intensity in column ``col``, with its log Jacobian.
+    def _integer_step(self, state: ChainState, name, col, rng):
+        return float(state.edges[col]) + (1.0 if rng.random() < 0.5 else -1.0), 0.0
+
+    def _log_step(self, state: ChainState, name, col, rng):
         cur = float(state.edges[col])
-        if self.fam.integer_intensity:
-            return cur + (1.0 if rng.random() < 0.5 else -1.0), 0.0
         prop = cur * math.exp(rng.normal(0.0, state.step_sizes[name]))
         return prop, math.log(prop) - math.log(cur)
 
@@ -812,12 +814,13 @@ class _SweepKernel:
         name = f"refresh_{j + 1}_{k + 1}"
         new_c, jac = self._propose_intensity(state, name, self.column[j, k], rng)
         ratio, cand, new_s = _NEG_INF, None, None
-        if math.isfinite(self.prior.log_edge_prior(fam, new_c)):
+        lp_new = self.prior.log_edge_prior(fam, new_c)
+        if math.isfinite(lp_new):
             new_s = np.asarray(fam.sample_link(state.w, new_c, rng), dtype=float)
             if fam.kind is not FamilyKind.INVERSE_GAMMA or np.all(new_s > 0.0):
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    ratio, cand = self._pair_candidate(state, j, k, s_star, c_star, new_c,
-                                                       new_s, terms, link_level=False)
+                    ratio, cand = self._pair_candidate(state, j, k, s_star, c_star, new_c, new_s,
+                                                       terms, link_level=False, lp_new=lp_new)
                     ratio += jac
         if _metropolis(state, name, ratio, rng):
             self._commit_pair(state, j, k, s_star, c_star, new_c, new_s, terms, cand)
@@ -825,8 +828,7 @@ class _SweepKernel:
     # -- joint rescale of one edge intensity and its link values ---------------
     def _update_edge_scale(self, state: ChainState, j, k, rng, s_star, c_star, terms):
         # Deterministic scaling move (c, S_1..S_n) -> e^eps * (c, S_1..S_n);
-        # breaks the ridge between an intensity and its links.  Only applies
-        # to continuous-link families.
+        # breaks the ridge between an intensity and its links.
         name = f"scale_{j + 1}_{k + 1}"
         eps = rng.normal(0.0, state.step_sizes[name])
         factor = math.exp(eps)
@@ -885,20 +887,16 @@ class _SweepKernel:
 
     # -- full systematic scan ------------------------------------------------------
     def sweep(self, state: ChainState, rng):
-        fam = self.fam
         s_star, theta_w, c_star = self._link_block_terms(state)
         for j, k in self.pairs:
             self._update_links_pair(state, j, k, rng, s_star, theta_w, c_star)
         self._update_anchors(state, rng)
 
         terms = self._edge_terms(state, s_star, c_star)
-        scaling = not fam.discrete_links
         for j, k in self.pairs:
             for _ in range(self.config.edge_moves):
-                self._update_edge(state, j, k, rng, s_star, c_star, terms)
-                if scaling:
-                    self._update_edge_scale(state, j, k, rng, s_star, c_star, terms)
-                self._update_edge_refresh(state, j, k, rng, s_star, c_star, terms)
+                for move in self._edge_moves:
+                    move(state, j, k, rng, s_star, c_star, terms)
 
         edge_rowsum = node_sums(state.edges, self.p)
         self._update_c0(state, rng, terms, edge_rowsum)
@@ -945,7 +943,7 @@ def sample_link_conditional(state: ChainState, data: Dataset, i: int, j: int, k:
     j, k, col = kernel._lookup_pair(state, j, k, positive=True)
     _ensure_steps(state, config)
     kernel._update_links_pair(state, j, k, rng, *kernel._link_block_terms(state),
-                              idx=np.array([i]))
+                              sel=np.array([i]))
     return float(state.links[i, col])
 
 

@@ -45,9 +45,16 @@ _FORMAT_VERSION = 1
 # Dataset CSV ingestion
 # ---------------------------------------------------------------------------
 
+def _unreadable(path, exc: OSError) -> DataFormatError:
+    return DataFormatError(f"{path}: cannot read the file ({exc.strerror or exc})")
+
+
 def _parse_rows(path: Path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+    except OSError as exc:
+        raise _unreadable(path, exc) from None
     if not rows:
         raise DataFormatError(f"{path}: file contains no data rows")
     return rows
@@ -386,7 +393,11 @@ class RunConfig:
     def from_file(cls, path) -> "RunConfig":
         path = Path(path)
         config = cls()
-        for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        try:
+            text = path.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise _unreadable(path, exc) from None
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

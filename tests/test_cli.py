@@ -66,6 +66,20 @@ class TestSimulateCommand:
         assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit", "--data", "{missing}", "--family", "normal", "--out", "{dir}/out"],
+    ["simulate", "--edge-file", "{missing}", "--n", "10", "--out", "{dir}/data.csv"],
+    ["fit", "--config", "{missing}"],
+])
+def test_missing_input_file_fails_cleanly(workdir, capsys, argv):
+    missing = workdir / "nope.csv"
+    code = run([a.format(missing=missing, dir=workdir) for a in argv])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+    assert "Traceback" not in err
+
+
 class TestFitFlow:
     def fit_small(self, workdir, extra=()):
         data_csv = workdir / "data.csv"

@@ -406,7 +406,7 @@ class _CheckingKernel(inference._SweepKernel):
         self.check(state, s_star, c_star, terms)
 
     def _update_edge_refresh(self, state, j, k, rng, s_star, c_star, terms):
-        counter = state.counter(f"refresh_{j + 1}_{k + 1}")
+        counter = state.accept.setdefault(f"refresh_{j + 1}_{k + 1}", [0, 0])
         accepted = counter[0]
         super()._update_edge_refresh(state, j, k, _ForcedAccept(rng) if self.force else rng,
                                      s_star, c_star, terms)
@@ -928,6 +928,61 @@ class TestRunChains:
                          adapt_window=10)
         samples = run_chains(data, "beta", PriorConfig.default_for("beta"), cfg)
         assert np.all((samples.w > 0.0) & (samples.w < 1.0))
+
+
+# meta["state_digest"] of a short seeded fit of each family.  A change of
+# these values is a change of the random stream, which CHANGES.md must state.
+PINNED_DIGESTS = {
+    FamilyKind.NORMAL: ["78d52653cfbe2c1f", "581f894986f0328d"],
+    FamilyKind.GAMMA: ["eaa39f95013bfbd4", "4f2c1faedd6d4add"],
+    FamilyKind.INVERSE_GAMMA: ["6742730f059b6791", "bea944043dcae34a"],
+    FamilyKind.BETA: ["dff35eca2b96d95d", "0de71fec338321e1"],
+    FamilyKind.INVERSE_BETA: ["26ee5bb088eb0052", "bd0191dd2cbc4904"],
+}
+
+# Each family's link draw, and the edge moves of the continuous-link families.
+LINK_DRAW = {FamilyKind.NORMAL: "_normal_links", FamilyKind.GAMMA: "_enumerated_links",
+             FamilyKind.INVERSE_GAMMA: "_inverse_gamma_links",
+             FamilyKind.BETA: "_enumerated_links", FamilyKind.INVERSE_BETA: "_enumerated_links"}
+EDGE_MOVES = ("_update_edge", "_update_edge_scale", "_update_edge_refresh")
+
+
+class TestSeededStream:
+    def fit(self, kind, **overrides):
+        _, data, _ = make_state(kind, n=30)
+        config = dict(iterations=30, burn_in=10, thinning=2, chains=2, seed=3,
+                      adapt_window=5, workers=1)
+        config.update(overrides)
+        return run_chains(data, kind, PriorConfig.default_for(kind), MCMCConfig(**config))
+
+    @pytest.mark.parametrize("kind", INFERENCE_KINDS)
+    def test_state_digest_is_pinned(self, kind):
+        assert self.fit(kind).meta["state_digest"] == PINNED_DIGESTS[kind]
+
+    @pytest.mark.parametrize("kind", INFERENCE_KINDS)
+    def test_block_patched_on_the_class_is_called(self, kind, monkeypatch):
+        # A profiler wraps the block methods on the class before run_chains
+        # builds the kernel; the sweep must call the wrappers, as scheduled.
+        short = dict(iterations=8, burn_in=2, chains=1)
+        unpatched = self.fit(kind, **short).meta["state_digest"]
+        calls = {}
+        blocks = ["_update_links_pair", LINK_DRAW[kind], "_update_anchors", *EDGE_MOVES,
+                  "_update_c0", "_update_s0"]
+        for name in blocks:
+            def wrapper(*args, _fn=getattr(inference._SweepKernel, name), _name=name,
+                        **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(inference._SweepKernel, name, wrapper)
+        assert self.fit(kind, **short).meta["state_digest"] == unpatched
+        pairs, moves = 3 * 8, 3 * 8 * MCMCConfig.edge_moves
+        assert {name: calls.get(name, 0) for name in blocks} == {
+            "_update_links_pair": pairs, LINK_DRAW[kind]: pairs, "_update_anchors": 8,
+            "_update_edge": moves, "_update_edge_refresh": moves, "_update_c0": 8,
+            "_update_s0": 8,
+            # a discrete link cannot be rescaled
+            "_update_edge_scale": 0 if get_family(kind).discrete_links else moves,
+        }
 
 
 class TestSummaries:
