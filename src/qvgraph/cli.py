@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import traceback
@@ -15,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import inference, io, verify
-from .errors import QvgraphError
+from .errors import DomainError, QvgraphError
 from .families import FamilyKind
-from .model import Dataset, ModelParams, simulate
+from .model import ModelParams, simulate
 from .presets import five_area_params
 
 _FAMILY_CHOICES = [k.value for k in FamilyKind]
@@ -110,10 +111,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     config = io.RunConfig.from_file(args.config) if args.config else io.RunConfig()
     for item in args.set:
-        if "=" not in item:
-            raise QvgraphError(f"--set expects KEY=VALUE, got {item!r}")
-        key, value = item.split("=", 1)
-        config.set_option(key.strip(), value.strip())
+        config.set_item(item, "--set")
     if args.family:
         config.family = args.family
     if args.data:
@@ -137,9 +135,10 @@ def _cmd_fit(args) -> int:
     samples.meta["config_hash"] = config.config_hash()
     io.persist_samples(samples, config.output_dir)
 
-    psrf = inference.split_chain_psrf(samples)
+    psrf, why, frozen = _convergence(samples)
     diagnostics = {
         "psrf": psrf,
+        "frozen": frozen,
         "acceptance": samples.meta["acceptance"],
         "config_hash": samples.meta["config_hash"],
     }
@@ -148,9 +147,25 @@ def _cmd_fit(args) -> int:
     )
     print(f"retained {samples.retained} draws per chain x {samples.chains} chains "
           f"-> {config.output_dir}")
-    worst = max(psrf, key=psrf.get)
-    print(f"largest split-chain PSRF: {psrf[worst]:.3f} ({worst})")
+    if psrf is None:
+        print(f"no split-chain PSRF: {why}")
+    else:
+        worst = max(psrf, key=psrf.get)
+        print(f"largest split-chain PSRF: {psrf[worst]:.3f} ({worst})")
+    if frozen:
+        print(f"warning: never moved in any chain, so not converged: {', '.join(frozen)}",
+              file=sys.stderr)
     return 0
+
+
+def _convergence(samples):
+    """The split-chain PSRF per parameter, or None and the reason a fit this
+    short has none; and the parameters that never moved."""
+    try:
+        psrf, why = inference.split_chain_psrf(samples), None
+    except DomainError as exc:
+        psrf, why = None, str(exc)
+    return psrf, why, inference.frozen_parameters(samples)
 
 
 def _format_table(rows, headers) -> str:
@@ -164,10 +179,16 @@ def _format_table(rows, headers) -> str:
 def _cmd_summarize(args) -> int:
     samples = io.load_samples(args.samples)
     summary = inference.summarize(samples)
-    psrf = inference.split_chain_psrf(samples)
+    psrf, _, frozen = _convergence(samples)
+
+    def psrf_cell(name):
+        if name in frozen:
+            return "frozen"
+        return "n/a" if psrf is None else f"{psrf[name]:.3f}"
+
     rows = [
         [name, f"{s.mean:.4f}", f"{s.sd:.4f}", f"{s.q025:.4f}", f"{s.q975:.4f}",
-         f"{psrf[name]:.3f}"]
+         psrf_cell(name)]
         for name, s in summary.items()
     ]
     print(_format_table(rows, ["parameter", "mean", "sd", "2.5%", "97.5%", "psrf"]))
@@ -206,17 +227,7 @@ def _cmd_check(args) -> int:
                   f"target={rep.target_value:.6g} se={rep.mc_standard_error:.3g}")
     print(f"{len(all_reports) - failures}/{len(all_reports)} checks passed")
     if args.report:
-        payload = [
-            {
-                "check_name": r.check_name,
-                "target_value": r.target_value,
-                "estimate": r.estimate,
-                "mc_standard_error": r.mc_standard_error,
-                "tolerance": r.tolerance,
-                "passed": r.passed,
-            }
-            for r in all_reports
-        ]
+        payload = [dataclasses.asdict(r) for r in all_reports]
         Path(args.report).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     return 1 if failures else 0
 

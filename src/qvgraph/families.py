@@ -653,6 +653,20 @@ def _gsst_link_table(w: float, c: float) -> _InverseCdfTable:
     )
 
 
+def _elementwise(fn, *args):
+    """``fn`` of floats applied to the broadcast arguments element by element,
+    in C order; a float when every argument is a scalar."""
+    arrays = [np.asarray(a, dtype=float) for a in args]
+    if all(a.ndim == 0 for a in arrays):
+        return fn(*map(float, arrays))
+    arrays = np.broadcast_arrays(*arrays)
+    out = np.empty(arrays[0].shape, dtype=float)
+    flat_out = out.ravel()
+    for i, values in enumerate(zip(*(a.ravel() for a in arrays))):
+        flat_out[i] = fn(*map(float, values))
+    return out
+
+
 class ScaledStudentFamily(Family):
     """Generalised scaled Student marginals with hyperbolic-secant-type links.
 
@@ -683,40 +697,16 @@ class ScaledStudentFamily(Family):
         return _gsst_log_b(s, c)
 
     def log_h(self, s, c):
-        s_arr = np.asarray(s, dtype=float)
-        c_arr = np.asarray(c, dtype=float)
-        if s_arr.ndim == 0 and c_arr.ndim == 0:
-            return _gsst_log_h_scalar(float(s_arr), float(c_arr))
-        s_b, c_b = np.broadcast_arrays(s_arr, c_arr)
-        out = np.empty(s_b.shape, dtype=float)
-        flat_s, flat_c, flat_o = s_b.ravel(), c_b.ravel(), out.ravel()
-        for i in range(flat_s.size):
-            flat_o[i] = _gsst_log_h_scalar(float(flat_s[i]), float(flat_c[i]))
-        return out
+        return _elementwise(_gsst_log_h_scalar, s, c)
 
     def sample_w(self, s, c, rng, size=None):
-        s_arr = np.asarray(s, dtype=float)
-        c_arr = np.asarray(c, dtype=float)
-        if s_arr.ndim == 0 and c_arr.ndim == 0:
-            table = _gsst_anchor_table(float(s_arr), float(c_arr))
-            return np.tan(table.sample(rng, size))
-        s_b, c_b = np.broadcast_arrays(s_arr, c_arr)
-        out = np.empty(s_b.shape, dtype=float)
-        flat_s, flat_c, flat_o = s_b.ravel(), c_b.ravel(), out.ravel()
-        for i in range(flat_s.size):
-            table = _gsst_anchor_table(float(flat_s[i]), float(flat_c[i]))
-            flat_o[i] = math.tan(float(table.sample(rng)))
-        return out
+        if np.ndim(s) == 0 and np.ndim(c) == 0:
+            return np.tan(_gsst_anchor_table(float(s), float(c)).sample(rng, size))
+        return _elementwise(
+            lambda si, ci: math.tan(float(_gsst_anchor_table(si, ci).sample(rng))), s, c)
 
     def sample_link(self, w, c, rng):
-        w_arr = np.asarray(w, dtype=float)
-        if w_arr.ndim == 0:
-            return float(_gsst_link_table(float(w_arr), float(c)).sample(rng))
-        out = np.empty(w_arr.shape, dtype=float)
-        flat_w, flat_o = w_arr.ravel(), out.ravel()
-        for i in range(flat_w.size):
-            flat_o[i] = float(_gsst_link_table(float(flat_w[i]), float(c)).sample(rng))
-        return out
+        return _elementwise(lambda wi, ci: float(_gsst_link_table(wi, ci).sample(rng)), w, c)
 
     def in_mean_space(self, w):
         return np.isfinite(w)

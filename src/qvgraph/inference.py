@@ -91,6 +91,7 @@ __all__ = [
     "initial_state",
     "log_posterior",
     "split_chain_psrf",
+    "frozen_parameters",
     "summarize",
     "predictive_mse",
     "link_conditional_pmf",
@@ -870,8 +871,6 @@ class _SweepKernel:
         if not fam.hyper_ok(s0, c0):
             return _NEG_INF
         lp = self.prior.s0_prior.logpdf(s0, c0)
-        if lp == _NEG_INF:
-            return _NEG_INF
         h_sum = float(np.sum(fam.log_h(s0 + link_rowsum, c_star[None, :])))
         theta_total = self.theta_y_total + theta_w_total
         return h_sum + self.n * float(fam.log_h(s0, c0)) + s0 * theta_total + lp
@@ -1124,15 +1123,11 @@ class PosteriorSamples:
 @dataclass(frozen=True)
 class _ChainRun:
     """What every chain of one ``run_chains`` call shares: the kernel, the
-    per-chain seeds and the output arrays, of which chain m owns row m."""
+    per-chain seeds and the samples, of whose arrays chain m owns row m."""
 
     kernel: _SweepKernel
     seeds: list
-    s0: np.ndarray
-    c0: np.ndarray
-    edges: np.ndarray
-    w: np.ndarray | None
-    links: np.ndarray | None
+    samples: PosteriorSamples
 
 
 def _state_digest(state: ChainState) -> str:
@@ -1144,12 +1139,12 @@ def _state_digest(state: ChainState) -> str:
 
 
 def _run_chain(run: _ChainRun, m: int) -> tuple[dict, str]:
-    """Run chain m and write its retained draws into row m of the outputs.
+    """Run chain m and write its retained draws into row m of the samples.
 
     Returns the chain's stationary acceptance rates and the digest of its
     final state; a failure raises ``ChainError`` with the chain and sweep.
     """
-    kernel = run.kernel
+    kernel, out = run.kernel, run.samples
     config = kernel.config
     rng = np.random.default_rng(run.seeds[m])
     t = 0
@@ -1167,12 +1162,12 @@ def _run_chain(run: _ChainRun, m: int) -> tuple[dict, str]:
                 if t == config.burn_in:
                     state.accept = {}
             elif (t - config.burn_in) % config.thinning == 0:
-                run.s0[m, keep_idx] = state.s0
-                run.c0[m, keep_idx] = state.c0
-                run.edges[m, keep_idx] = state.edges
+                out.s0[m, keep_idx] = state.s0
+                out.c0[m, keep_idx] = state.c0
+                out.edges[m, keep_idx] = state.edges
                 if config.keep_latents:
-                    run.w[m, keep_idx] = state.w
-                    run.links[m, keep_idx] = state.links
+                    out.w[m, keep_idx] = state.w
+                    out.links[m, keep_idx] = state.links
                 keep_idx += 1
     except Exception as exc:  # noqa: BLE001 - re-raise with chain context
         raise ChainError(
@@ -1290,18 +1285,20 @@ def run_chains(data: Dataset, family, prior: PriorConfig, config: MCMCConfig) ->
     pairs = kernel.pairs
     rows = (config.chains, config.retained_per_chain)
     latents = config.keep_latents
-    run = _ChainRun(
-        kernel=kernel,
-        seeds=np.random.SeedSequence(config.seed).spawn(config.chains),
+    samples = PosteriorSamples(
+        family=fam.kind,
+        node_names=list(data.node_names),
+        pairs=pairs,
         s0=_shared_empty(rows),
         c0=_shared_empty(rows),
         edges=_shared_empty((*rows, len(pairs))),
         w=_shared_empty((*rows, n)) if latents else None,
         links=_shared_empty((*rows, n, len(pairs))) if latents else None,
+        meta={},
     )
-    results = _run_all(run, _worker_count(config))
-
-    meta = {
+    seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
+    results = _run_all(_ChainRun(kernel, seeds, samples), _worker_count(config))
+    samples.meta = {
         "iterations": config.iterations,
         "burn_in": config.burn_in,
         "thinning": config.thinning,
@@ -1312,17 +1309,7 @@ def run_chains(data: Dataset, family, prior: PriorConfig, config: MCMCConfig) ->
         "acceptance": [rates for rates, _ in results],
         "state_digest": [digest for _, digest in results],
     }
-    return PosteriorSamples(
-        family=fam.kind,
-        node_names=list(data.node_names),
-        pairs=pairs,
-        s0=run.s0,
-        c0=run.c0,
-        edges=run.edges,
-        w=run.w,
-        links=run.links,
-        meta=meta,
-    )
+    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -1371,6 +1358,18 @@ def split_chain_psrf(samples: PosteriorSamples) -> dict[str, float]:
         pooled = (half - 1.0) / half * within + between / half
         out[name] = float(np.sqrt(pooled / within))
     return out
+
+
+def frozen_parameters(samples: PosteriorSamples) -> list[str]:
+    """Parameters whose retained draws never change within any chain.
+
+    ``split_chain_psrf`` reads such a parameter as 1.0, as if converged; a
+    chain needs two retained draws before it can be seen not to move.
+    """
+    if samples.retained < 2:
+        return []
+    return [name for name in samples.parameter_names()
+            if not np.any(np.ptp(samples.parameter_array(name), axis=1))]
 
 
 def predictive_mse(samples: PosteriorSamples, data: Dataset, rng) -> float:

@@ -6,8 +6,7 @@ import csv
 import dataclasses
 import hashlib
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,7 @@ from .inference import (
     PriorConfig,
     StepSizes,
 )
-from .model import Dataset
+from .model import Dataset, node_pairs
 
 __all__ = [
     "RunConfig",
@@ -51,7 +50,7 @@ def _unreadable(path, exc: OSError) -> DataFormatError:
 
 def _parse_rows(path: Path):
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
     except OSError as exc:
         raise _unreadable(path, exc) from None
@@ -193,10 +192,7 @@ def export_network(source, labels=None, threshold: float = 5.0,
     if top <= 0.0:
         raise DomainError("network export requires at least one positive intensity")
 
-    pairs = sorted(
-        ((j, k) for j in range(p) for k in range(j + 1, p)),
-        key=lambda jk: (labels[jk[0]], labels[jk[1]]),
-    )
+    pairs = sorted(node_pairs(p), key=lambda jk: (labels[jk[0]], labels[jk[1]]))
     edges = [
         EdgeWeight(
             source=labels[j],
@@ -282,13 +278,18 @@ def persist_samples(samples: PosteriorSamples, directory) -> None:
     )
 
 
+def _sample_file(directory: Path, name: str) -> Path:
+    path = directory / name
+    if not path.is_file():
+        raise ManifestError(f"{directory}: missing {name}")
+    return path
+
+
 def load_samples(directory) -> PosteriorSamples:
-    """Reload a persisted samples directory; raises ManifestError on mismatch."""
+    """Reload a persisted samples directory; raises ManifestError on a
+    missing file or a mismatch."""
     directory = Path(directory)
-    manifest_path = directory / "manifest.json"
-    if not manifest_path.exists():
-        raise ManifestError(f"{directory}: missing manifest.json")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = json.loads(_sample_file(directory, "manifest.json").read_text(encoding="utf-8"))
     version = manifest.get("format_version")
     if version != _FORMAT_VERSION:
         raise ManifestError(
@@ -297,7 +298,8 @@ def load_samples(directory) -> PosteriorSamples:
         )
 
     def read_param(name):
-        arr = np.loadtxt(directory / f"{name}.csv", delimiter=",", skiprows=1, ndmin=2)
+        arr = np.loadtxt(_sample_file(directory, f"{name}.csv"), delimiter=",", skiprows=1,
+                         ndmin=2)
         return np.ascontiguousarray(arr.T)
 
     pairs = [tuple(p) for p in manifest["pairs"]]
@@ -307,7 +309,7 @@ def load_samples(directory) -> PosteriorSamples:
     edges = np.stack(edge_arrays, axis=-1)
     w = links = None
     if manifest.get("has_latents"):
-        with np.load(directory / "latents.npz") as payload:
+        with np.load(_sample_file(directory, "latents.npz")) as payload:
             w = payload["w"]
             links = payload["links"]
     return PosteriorSamples(
@@ -394,18 +396,24 @@ class RunConfig:
         path = Path(path)
         config = cls()
         try:
-            text = path.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8-sig")
         except OSError as exc:
             raise _unreadable(path, exc) from None
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataFormatError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            config.set_option(key, value)
+            if line:
+                config.set_item(line, f"{path}:{lineno}")
         return config
+
+    def set_item(self, item: str, source: str) -> None:
+        """Apply one ``key = value`` item; ``source`` names it in an error."""
+        if "=" not in item:
+            raise DataFormatError(f"{source}: expected 'key = value', got {item!r}")
+        key, value = (part.strip() for part in item.split("=", 1))
+        try:
+            self.set_option(key, value)
+        except DataFormatError as exc:
+            raise DataFormatError(f"{source}: {exc}") from None
 
     def set_option(self, key: str, value: str) -> None:
         if key not in self.field_names():

@@ -245,11 +245,7 @@ def pairwise_correlation(params: ModelParams, j: int, k: int) -> float:
         raise IndexError(f"node index out of range for p = {p}")
     if j == k:
         raise IndexError("pairwise correlation requires two distinct nodes")
-    rows = params.row_sums
-    c0 = params.c0
-    num = c0 * params.edge_intensity[j, k] + rows[j] * rows[k]
-    den = (c0 + rows[j]) * (c0 + rows[k])
-    return float(num / den)
+    return float(correlation_matrix(params)[j, k])
 
 
 def correlation_matrix(params: ModelParams) -> np.ndarray:

@@ -24,7 +24,6 @@ from .families import FamilyKind, get_family
 from .inference import (
     ChainState,
     GammaS0Prior,
-    MCMCConfig,
     NormalS0Prior,
     PriorConfig,
     UniformOnC0S0Prior,
@@ -33,7 +32,6 @@ from .inference import (
     log_full_conditional_c0,
     log_full_conditional_cjk,
     log_full_conditional_s0,
-    sample_w_conditional,
 )
 from .model import Dataset, ModelParams, _as_rng, marginal_moments, pairwise_correlation, simulate
 
@@ -231,16 +229,10 @@ class SmallInstance:
 
 
 def _default_small_instance(kind: FamilyKind) -> SmallInstance:
-    if kind in (FamilyKind.BETA, FamilyKind.INVERSE_BETA):
-        edges = np.array([[0.0, 2.0], [2.0, 0.0]])
-        s0, c0 = 6.0, 10.0
-    elif kind is FamilyKind.NORMAL:
-        edges = np.array([[0.0, 1.5], [1.5, 0.0]])
-        s0, c0 = 1.0, 2.0
-    else:
-        edges = np.array([[0.0, 1.5], [1.5, 0.0]])
-        s0, c0 = 2.0, 3.0
-    return SmallInstance(ModelParams(kind, s0, c0, edges), n=2)
+    counts = get_family(kind).integer_intensity
+    c = 2.0 if counts else 1.5
+    s0, c0 = (6.0, 10.0) if counts else (1.0, 2.0) if kind is FamilyKind.NORMAL else (2.0, 3.0)
+    return SmallInstance(ModelParams(kind, s0, c0, np.array([[0.0, c], [c, 0.0]])), n=2)
 
 
 def _candidate_pairs(kind: FamilyKind, which: str, state: ChainState):
@@ -451,18 +443,11 @@ def default_check_suite(family, seed: int, replicates: int = 100_000) -> list[Or
     rng = np.random.default_rng(seed)
     kind = fam.kind
 
-    if kind is FamilyKind.BETA:
+    if fam.integer_intensity:
         edges = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 3.0], [1.0, 3.0, 0.0]])
-        s0, c0 = 6.0, 10.0
-    elif kind is FamilyKind.INVERSE_BETA:
-        edges = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 3.0], [1.0, 3.0, 0.0]])
-        s0, c0 = 6.0, 10.0
-    elif kind is FamilyKind.NORMAL:
-        edges = np.array([[0.0, 1.5, 0.4], [1.5, 0.0, 2.5], [0.4, 2.5, 0.0]])
-        s0, c0 = 1.0, 2.0
     else:
         edges = np.array([[0.0, 1.5, 0.4], [1.5, 0.0, 2.5], [0.4, 2.5, 0.0]])
-        s0, c0 = 6.0, 10.0
+    s0, c0 = (1.0, 2.0) if kind is FamilyKind.NORMAL else (6.0, 10.0)
     params = ModelParams(kind, s0, c0, edges)
 
     reports = []

@@ -158,6 +158,63 @@ class TestFitFlow:
         assert "error:" in capsys.readouterr().err
 
 
+    def test_short_fit_finishes_without_a_psrf(self, workdir, capsys):
+        data_csv = workdir / "data.csv"
+        run(["simulate", "--family", "normal", "--s0", 0.5, "--c0", 2.0,
+             "--edge-file", self.edges(workdir), "--n", 40, "--seed", 5, "--out", data_csv])
+        out = workdir / "short"
+        capsys.readouterr()
+        assert run(["fit", "--data", data_csv, "--family", "normal", "--out", out,
+                    "--set", "iterations=10", "--set", "burn_in=5", "--set", "thinning=2"]) == 0
+        assert "need at least 4 retained draws" in capsys.readouterr().out
+        diagnostics = json.loads((out / "diagnostics.json").read_text())
+        assert diagnostics["psrf"] is None
+        assert run(["summarize", "--samples", out]) == 0
+        cells = {row.split()[0]: row.split()[-1]
+                 for row in capsys.readouterr().out.splitlines()[1:]}
+        # two draws per chain: a block rejected at both is flagged, not n/a
+        assert cells == {name: "frozen" if name in diagnostics["frozen"] else "n/a"
+                         for name in ["s0", "c0", "c_1_2"]}
+
+    @pytest.mark.parametrize("command", ["summarize", "export-graph", "mse"])
+    def test_damaged_samples_fail_cleanly(self, workdir, capsys, command):
+        out = self.fit_small(workdir)
+        (out / "c_1_2.csv").unlink()
+        capsys.readouterr()
+        extra = {"export-graph": ["--out", workdir / "graph"],
+                 "mse": ["--data", workdir / "data.csv"]}.get(command, [])
+        assert run([command, "--samples", out, *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "c_1_2.csv" in err
+        assert "Traceback" not in err
+
+
+def test_frozen_edges_are_flagged(workdir, capsys):
+    """On this beta fit no edge move is ever accepted, so every edge stays
+    at its start; its split PSRF reads 1.000 all the same."""
+    edge_file = workdir / "edges.csv"
+    edge_file.write_text("0,2,7\n2,0,7\n7,7,0\n")
+    data_csv = workdir / "data.csv"
+    run(["simulate", "--family", "beta", "--s0", 6.0, "--c0", 10.0, "--edge-file", edge_file,
+         "--n", 300, "--seed", 3, "--out", data_csv])
+    out = workdir / "samples"
+    capsys.readouterr()
+    assert run(["fit", "--data", data_csv, "--family", "beta", "--out", out,
+                "--set", "iterations=120", "--set", "burn_in=60", "--set", "thinning=2",
+                "--set", "seed=3", "--set", "adapt_window=20"]) == 0
+    edges = ["c_1_2", "c_1_3", "c_2_3"]
+    warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+    assert len(warnings) == 1 and all(name in warnings[0] for name in edges)
+    diagnostics = json.loads((out / "diagnostics.json").read_text())
+    assert diagnostics["frozen"] == edges
+    assert all(diagnostics["psrf"][name] == 1.0 for name in edges)
+    assert run(["summarize", "--samples", out]) == 0
+    cells = {row.split()[0]: row.split()[-1]
+             for row in capsys.readouterr().out.splitlines()[1:]}
+    assert [cells[name] for name in edges] == ["frozen"] * 3
+    assert cells["s0"] != "frozen"
+
+
 class TestCheckCommand:
     def test_single_family_deterministic(self, workdir, capsys):
         report_a = workdir / "a.json"

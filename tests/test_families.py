@@ -511,3 +511,47 @@ class TestSummedCoefficients:
         for c in (0.0, -1.0, -2.5, float("nan")):
             self.check(fam.log_h, fam.h_summary, fam.log_h_sum, node_sums, c)
             self.check(fam.log_b, fam.b_summary, fam.log_b_sum, link_values, c)
+
+
+class TestScaledStudentElementwise:
+    """gsst has no closed-form array path: on arrays, each element is the
+    scalar call, made in C order with the same generator."""
+
+    fam = get_family("gsst")
+    s = np.array([[0.5, -1.0, 2.0], [1.5, 0.0, -0.3]])
+    c = np.array([3.0, 4.0, 5.5])
+
+    def test_log_h_on_arrays_is_the_scalar_call(self):
+        expected = [[self.fam.log_h(self.s[i, j], self.c[j]) for j in range(3)]
+                    for i in range(2)]
+        assert np.array_equal(self.fam.log_h(self.s, self.c), expected)
+
+    def test_sample_w_on_arrays_is_the_scalar_call(self):
+        draws = self.fam.sample_w(self.s, self.c, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        expected = [[self.fam.sample_w(self.s[i, j], self.c[j], rng) for j in range(3)]
+                    for i in range(2)]
+        # the scalar call takes np.tan of the draw and an element math.tan,
+        # which may round the last bit apart
+        np.testing.assert_array_max_ulp(draws, np.array(expected), maxulp=2)
+
+    def test_sample_link_on_arrays_is_the_scalar_call(self):
+        w = np.array([[0.2, -0.4], [1.1, 0.0]])
+        draws = self.fam.sample_link(w, 2.5, np.random.default_rng(6))
+        rng = np.random.default_rng(6)
+        expected = [[self.fam.sample_link(w[i, j], 2.5, rng) for j in range(2)]
+                    for i in range(2)]
+        assert np.array_equal(draws, expected)
+
+    def test_simulate_output_is_pinned(self):
+        import hashlib
+
+        from qvgraph.model import ModelParams, simulate
+
+        edges = np.array([[0.0, 1.5, 0.7], [1.5, 0.0, 2.2], [0.7, 2.2, 0.0]])
+        data, latents = simulate(ModelParams("gsst", 0.5, 3.0, edges), 6, 11)
+        h = hashlib.sha256()
+        for a in (data.y, latents.w, latents.links):
+            h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+        # pins the per-element calls and their order (numpy 2.4, scipy 1.17, x86-64)
+        assert h.hexdigest()[:16] == "f3e6cb9500bc98e0"

@@ -1055,6 +1055,30 @@ class TestSummaries:
     def test_constant_psrf_is_one(self):
         assert split_chain_psrf(self.constant_samples())["s0"] == 1.0
 
+    def test_frozen_parameters_are_constant_in_every_chain(self):
+        from qvgraph.inference import PosteriorSamples, frozen_parameters
+
+        assert frozen_parameters(self.constant_samples()) == ["s0", "c0", "c_1_2"]
+        moving = np.random.default_rng(5).normal(size=(2, 50))
+        one_chain_stuck = np.abs(moving) + 1.0
+        one_chain_stuck[0] = 1.5
+        each_chain_stuck = np.array([[2.0], [3.0]]).repeat(50, axis=1)[..., None]
+        samples = PosteriorSamples(
+            family=FamilyKind.NORMAL, node_names=["y1", "y2"], pairs=[(0, 1)],
+            s0=moving, c0=one_chain_stuck, edges=each_chain_stuck,
+            w=None, links=None, meta={},
+        )
+        assert frozen_parameters(samples) == ["c_1_2"]
+        # stuck at 2 and at 3, yet read as converged
+        assert split_chain_psrf(samples)["c_1_2"] == 1.0
+        # one draw per chain cannot show a parameter that does not move
+        one_draw = PosteriorSamples(
+            family=FamilyKind.NORMAL, node_names=["y1", "y2"], pairs=[(0, 1)],
+            s0=moving[:, :1], c0=moving[:, :1], edges=each_chain_stuck[:, :1],
+            w=None, links=None, meta={},
+        )
+        assert frozen_parameters(one_draw) == []
+
 
 class TestPredictiveMse:
     def test_hand_fixture(self, monkeypatch):

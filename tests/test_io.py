@@ -73,6 +73,18 @@ class TestLoadDataset:
         with pytest.raises(DataFormatError, match=r"row 2, column 2"):
             load_dataset(bad, "gamma")
 
+    def test_byte_order_mark_without_header_is_not_a_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("1.5,2.5\n0.5,1.0\n".encode("utf-8-sig"))
+        data = load_dataset(path, "gamma")
+        assert data.n == 2 and data.y[0, 0] == 1.5
+        assert data.node_names == ["y1", "y2"]
+
+    def test_byte_order_mark_is_not_in_the_first_node_name(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("n1,n2\n1.5,2.5\n".encode("utf-8-sig"))
+        assert load_dataset(path, "gamma").node_names == ["n1", "n2"]
+
     def test_ragged_row_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("1.0,2.0\n3.0\n")
@@ -213,6 +225,15 @@ class TestPersistence:
         with pytest.raises(ManifestError):
             load_samples(tmp_path)
 
+    @pytest.mark.parametrize("name", ["c0.csv", "c_1_2.csv", "latents.npz"])
+    def test_missing_sample_file_names_the_file(self, tmp_path, small_samples, name):
+        small_samples.w = np.zeros((small_samples.chains, small_samples.retained, 1))
+        small_samples.links = np.zeros((small_samples.chains, small_samples.retained, 1, 1))
+        persist_samples(small_samples, tmp_path / "out")
+        (tmp_path / "out" / name).unlink()
+        with pytest.raises(ManifestError, match=f"missing {name}"):
+            load_samples(tmp_path / "out")
+
 
 class TestRunConfig:
     def test_from_file_and_overrides(self, tmp_path):
@@ -237,6 +258,28 @@ class TestRunConfig:
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("wibble = 3\n")
         with pytest.raises(DataFormatError, match="wibble"):
+            RunConfig.from_file(cfg_file)
+
+    def test_byte_order_mark_is_not_in_the_first_key(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_bytes("iterations = 500\nseed = 4\n".encode("utf-8-sig"))
+        config = RunConfig.from_file(cfg_file)
+        assert (config.iterations, config.seed) == (500, 4)
+
+    def test_item_without_equals_names_its_source(self, tmp_path):
+        config = RunConfig()
+        config.set_item(" seed =  7 ", "--set")
+        assert config.seed == 7
+        with pytest.raises(DataFormatError, match=r"^--set: expected 'key = value', got 'seed'"):
+            config.set_item("seed", "--set")
+        with pytest.raises(DataFormatError, match=r"^--set: seed: expected an integer"):
+            config.set_item("seed = x", "--set")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("# runs\nseed 7\n")
+        with pytest.raises(DataFormatError, match=r"run\.cfg:2: expected 'key = value'"):
+            RunConfig.from_file(cfg_file)
+        cfg_file.write_text("seed = 7\nwibble = 3\n")
+        with pytest.raises(DataFormatError, match=r"run\.cfg:2: unknown configuration key"):
             RunConfig.from_file(cfg_file)
 
     def test_bad_value_type(self):
