@@ -5,14 +5,16 @@
 Runs the seed-1, traced, 5-second benchmark smoke run of every workload
 (``perfbench/run.py``) in each tree, each against that tree's own sources, and
 prints a Markdown table of the two ``draws_digest`` values with ``equal`` or
-``DIFFER``, and one of the two exact ``inference.py_calls_per_sweep`` counts:
-the sweep is bound by interpreter overhead, so a change that adds Python
-calls to it shows there.  Tracing leaves the draws as they are.  One more row per inference family digests a small three-node fit
-that keeps its latents (s0, c0, edges, w and links of ``PosteriorSamples``),
-run in a subprocess on each tree's ``src``; the benchmark workloads miss the
-beta families and the inverse-gamma links.  A change may alter the stream or the
-call count if it says so, so this only reports: it exits 0 whatever the digests are, also
-when a run fails.
+``DIFFER``, and one table each of the two exact ``inference.py_calls_per_sweep``
+and ``inference.links.grid_cells_per_sweep`` counts: the sweep is bound by
+interpreter overhead, so a change that adds Python calls to it shows in the
+first, and one that widens or narrows the link enumeration grids in the
+second.  Tracing leaves the draws as they are.  One more row per inference
+family digests a small three-node fit that keeps its latents (s0, c0, edges,
+w and links of ``PosteriorSamples``), run in a subprocess on each tree's
+``src``; the benchmark workloads miss the beta families and the inverse-gamma
+links.  A change may alter the stream or the counts if it says so, so this
+only reports: it exits 0 whatever the digests are, also when a run fails.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import sys
 from pathlib import Path
 
 SMOKE = ["--seed", "1", "--seconds", "5", "--trace", "1"]
-CALLS = "inference.py_calls_per_sweep"
+COUNTS = ("inference.py_calls_per_sweep", "inference.links.grid_cells_per_sweep")
 FAMILIES = ("normal", "gamma", "inverse_gamma", "beta", "inverse_beta")
 
 # One small fit on the qvgraph found first on sys.path; argv: family, tree.
@@ -53,21 +55,23 @@ print(h.hexdigest()[:16])
 """
 
 
-def smoke_run(tree: Path, workload: str) -> tuple[str, str]:
-    """The ``draws_digest`` and the exact Python calls per sweep of one traced
+def smoke_run(tree: Path, workload: str) -> tuple[str, dict]:
+    """The ``draws_digest`` and each exact count of ``COUNTS`` of one traced
     smoke run, or why there are none."""
     proc = subprocess.run(
         [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload, *SMOKE],
         capture_output=True, text=True, check=False,
     )
-    digest = calls = f"run failed (exit {proc.returncode})"
+    digest = failed = f"run failed (exit {proc.returncode})"
+    counts = dict.fromkeys(COUNTS, failed)
     for line in proc.stdout.splitlines():
         if line.startswith("info "):
             digest = json.loads(line[len("info "):]).get("draws_digest") or "no draws"
         elif line.startswith("{"):
-            metric = json.loads(line).get("metrics", {}).get(CALLS)
-            calls = repr(metric["value"]) if metric else "not measured"
-    return digest, calls
+            metrics = json.loads(line).get("metrics", {})
+            counts = {name: repr(metrics[name]["value"]) if name in metrics else "not measured"
+                      for name in COUNTS}
+    return digest, counts
 
 
 def family_digest(tree: Path, family: str) -> str:
@@ -93,12 +97,13 @@ def main(argv) -> int:
              for family in FAMILIES]
     for label, old, new in rows:
         print(f"| {label} | `{old}` | `{new}` | {'equal' if old == new else 'DIFFER'} |")
-    print(f"\n### `{CALLS}` against the base commit (same runs)\n")
-    print("| workload | base | head | |")
-    print("|---|---|---|---|")
-    for w in workloads:
-        old, new = runs[base, w][1], runs[head, w][1]
-        print(f"| {w} | {old} | {new} | {'equal' if old == new else 'DIFFER'} |")
+    for name in COUNTS:
+        print(f"\n### `{name}` against the base commit (same runs)\n")
+        print("| workload | base | head | |")
+        print("|---|---|---|---|")
+        for w in workloads:
+            old, new = runs[base, w][1][name], runs[head, w][1][name]
+            print(f"| {w} | {old} | {new} | {'equal' if old == new else 'DIFFER'} |")
     return 0
 
 

@@ -24,6 +24,12 @@ cumulative sum of the exact log-ratios of successive masses (the families'
 use the whole support 0..c_jk; Poisson and negative-binomial links start from
 a short grid that doubles until a geometric bound on the cut-off tail falls
 below ``MCMCConfig.enum_tail_tol``, up to ``MCMCConfig.max_enum_states``.
+The grid is stored values-major, (values, replicates) with the replicates
+contiguous, and callers see its (replicates, values) transpose.  The
+log-mass recurrence and the sampler's CDF are accumulated by one add of a
+whole replicate row per value, and a doubled grid appends rows.  The order
+of additions is that of a cumulative sum along each replicate's row, so the
+log-masses and the draws do not depend on the layout.
 
 The edge moves evaluate only their candidate.  After the anchors the sweep
 computes, for the current state, each node's sum of log h, each pair's sum of
@@ -439,6 +445,45 @@ def _normal_link_moments(c_jk, excl_j, excl_k, cj, ck, t_sum):
     return mean, 1.0 / np.sqrt(prec)
 
 
+def _running_sum(buf):
+    """``buf`` made its own cumulative sum down axis 0, in place.
+
+    One add of whole rows per step, in the left-to-right order of
+    ``np.cumsum``; on a values-major grid each add runs along the long,
+    contiguous replicate axis.
+    """
+    for i in range(1, buf.shape[0]):
+        np.add(buf[i - 1], buf[i], out=buf[i])
+    return buf
+
+
+def _pairwise_sum(x):
+    """Sum of ``x`` down axis 0 in numpy's pairwise order.
+
+    For each column this is bit for bit what ``np.sum`` gives on that column
+    laid out contiguously: up to 8 terms added in turn; up to 128 terms in 8
+    running sums, combined in pairs, then the remaining terms in turn; more
+    terms split in two halves at a multiple of 8.  The sampler normalizes
+    with it so that its CDF equals the one of a row-major grid.
+    """
+    m = x.shape[0]
+    if m > 128:
+        half = m // 2 - (m // 2) % 8
+        return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
+    if m < 8:
+        total, top = x[0].copy(), 1
+    else:
+        top = m - m % 8
+        acc = x[:8].copy()
+        for i in range(8, top, 8):
+            acc += x[i:i + 8]
+        acc = acc[0::2] + acc[1::2]
+        total = (acc[0] + acc[1]) + (acc[2] + acc[3])
+    for row in x[top:]:
+        total += row
+    return total
+
+
 def _enum_link_logmass(fam, values, a_j, a_k, cj, ck, c_jk, t_sum, g0=0.0):
     """Unnormalized log mass of a run of consecutive integer link values.
 
@@ -446,18 +491,20 @@ def _enum_link_logmass(fam, values, a_j, a_k, cj, ck, c_jk, t_sum, g0=0.0):
     (the log mass at ``values[0]``) shape (r,) or scalar; the result has
     shape (r, m).  It is the cumulative sum of the exact log-ratios of
     successive masses, ``g(s+1) - g(s) = Dlog h(a_j+s, cj) + Dlog h(a_k+s, ck)
-    + Dlog b(s, c_jk) + t_sum``, so no log-gamma is evaluated.
+    + Dlog b(s, c_jk) + t_sum``, so no log-gamma is evaluated.  The result is
+    the transpose of a values-major (m, r) buffer, whose recurrence is one
+    r-length add per value.
     """
-    s = values[None, :-1]
-    g = np.empty((a_j.shape[0], values.shape[0]))
-    g[:, 0] = g0
-    g[:, 1:] = (
-        fam.log_h_step(a_j[:, None] + s, cj)
-        + fam.log_h_step(a_k[:, None] + s, ck)
-        + fam.log_b_step(values[:-1], c_jk)[None, :]
-        + t_sum[:, None]
+    s = values[:-1, None]
+    g = np.empty((values.shape[0], a_j.shape[0]))
+    g[0] = g0
+    g[1:] = (
+        fam.log_h_step(a_j + s, cj)
+        + fam.log_h_step(a_k + s, ck)
+        + fam.log_b_step(values[:-1], c_jk)[:, None]
+        + t_sum
     )
-    return np.cumsum(g, axis=1, out=g)
+    return _running_sum(g).T
 
 
 # First grid of an unbounded link conditional: small, so that links near 0
@@ -474,38 +521,47 @@ def _enum_link_grid(fam, a_j, a_k, cj, ck, c_jk, t_sum, tail_tol, cap):
     decay past the mode and the geometric tail bound (the last term times
     r / (1 - r), with r the ratio of the last two terms) drops below
     ``tail_tol`` relative to the largest term.  Each doubling continues the
-    log-ratio recurrence of ``_enum_link_logmass`` from the last value
-    instead of rebuilding the grid.
+    log-ratio recurrence of ``_enum_link_logmass`` from the last value and
+    appends the new values' rows to the values-major buffer instead of
+    rebuilding the grid.  Returns the values, the (r, m) log mass and each
+    replicate's largest log mass.
     """
     values = np.arange(0.0, _ENUM_START + 1.0)
-    g = _enum_link_logmass(fam, values, a_j, a_k, cj, ck, c_jk, t_sum)
+    g = _enum_link_logmass(fam, values, a_j, a_k, cj, ck, c_jk, t_sum).T
     while True:
-        g_max = g.max(axis=1)
-        last = g[:, -1]
-        prev = g[:, -2]
+        g_max = g.max(axis=0)
+        last = g[-1]
+        prev = g[-2]
         decreasing = last < prev
         ratio = np.exp(np.minimum(last - prev, -1e-12))
         bound = np.exp(last - g_max) * ratio / (1.0 - ratio)
         if np.all(decreasing) and np.all(bound < tail_tol):
-            return values, g
+            return values, g.T, g_max
         m = 2 * (values.shape[0] - 1)
         if m > cap:
             raise EnumerationOverflowError(
                 f"link enumeration exceeded {cap} states before reaching the tail"
             )
         more = np.arange(values[-1], m + 1.0)
-        g_more = _enum_link_logmass(fam, more, a_j, a_k, cj, ck, c_jk, t_sum, last)
+        g_more = _enum_link_logmass(fam, more, a_j, a_k, cj, ck, c_jk, t_sum, last).T
         values = np.arange(0.0, m + 1.0)
-        g = np.concatenate([g, g_more[:, 1:]], axis=1)
+        g = np.concatenate([g, g_more[1:]])
 
 
-def _rows_softmax_sample(g, rng):
-    gm = g.max(axis=1, keepdims=True)
-    p = np.exp(g - gm)
-    p /= p.sum(axis=1, keepdims=True)
-    cum = np.cumsum(p, axis=1)
+def _rows_softmax_sample(g, g_max, rng):
+    """One index per row of the (r, m) log-mass grid ``g``, whose rows'
+    largest values are ``g_max``, drawn by inversion of the row's normalized
+    CDF with one uniform per row.
+
+    Works down the values-major ``g.T``, with the row-major grid's order of
+    additions (see ``_pairwise_sum``, ``_running_sum``), so every index is
+    the one ``np.searchsorted`` finds on that CDF, clamped to the last value.
+    """
+    p = np.exp(g.T - g_max)
+    p /= _pairwise_sum(p)
+    cum = _running_sum(p)
     u = rng.random(g.shape[0])
-    idx = (u[:, None] > cum).sum(axis=1)
+    idx = (u > cum).sum(axis=0)
     return np.minimum(idx, g.shape[1] - 1)
 
 
@@ -593,7 +649,8 @@ class _SweepKernel:
         return cur, s_star[sel, j] - cur, s_star[sel, k] - cur, c_node[j], c_node[k], t_sum
 
     def _enumerate_links(self, j, k, c_jk, a_j, a_k, cj, ck, t_sum, sel):
-        """Support grid and unnormalized log mass of discrete link conditionals.
+        """Support grid, unnormalized (r, m) log mass and each row's largest
+        log mass of discrete link conditionals.
 
         The one enumeration path of the sampler and of
         ``link_conditional_pmf``: the fixed grid 0..c_jk for binomial links,
@@ -615,7 +672,8 @@ class _SweepKernel:
                     f"binomial link enumeration over {count + 1} states exceeds the cap"
                 )
             values = np.arange(0.0, count + 1.0)
-            return values, _enum_link_logmass(fam, values, a_j, a_k, cj, ck, c_jk, t_sum)
+            g = _enum_link_logmass(fam, values, a_j, a_k, cj, ck, c_jk, t_sum)
+            return values, g, g.max(axis=1)
         return _enum_link_grid(
             fam, a_j, a_k, cj, ck, c_jk, t_sum,
             self.config.enum_tail_tol, self.config.max_enum_states,
@@ -640,8 +698,8 @@ class _SweepKernel:
         return rng.normal(*_normal_link_moments(c_jk, *terms[1:]))  # exact
 
     def _enumerated_links(self, state: ChainState, j, k, rng, sel, theta_w, c_jk, terms):
-        values, g = self._enumerate_links(j, k, c_jk, *terms[1:], sel)  # exact
-        return values[_rows_softmax_sample(g, rng)]
+        values, g, g_max = self._enumerate_links(j, k, c_jk, *terms[1:], sel)  # exact
+        return values[_rows_softmax_sample(g, g_max, rng)]
 
     def _inverse_gamma_links(self, state: ChainState, j, k, rng, sel, theta_w, c_jk, terms):
         # log h(s, c) = (c + 1) log s - const, log b(t, c) = (c - 1) log t - const
@@ -949,7 +1007,9 @@ def sample_link_conditional(state: ChainState, data: Dataset, i: int, j: int, k:
 def _anchor_params(state: ChainState):
     """Parameters of the anchors' conjugate conditionals: s0 plus each
     replicate's link total, added pair after pair, and c0 plus the edge total."""
-    link_total = np.cumsum(state.links, axis=1)[:, -1]
+    link_total = state.links[:, 0].copy()
+    for e in range(1, state.links.shape[1]):
+        link_total += state.links[:, e]
     return state.s0 + link_total, state.c0 + float(state.edges.sum())
 
 
@@ -980,10 +1040,8 @@ def link_conditional_pmf(state: ChainState, data: Dataset, i: int, j: int, k: in
     c_jk = float(state.edges[col])
     sel = np.array([i])
     _, *terms = kernel._pair_terms(state, j, k, *kernel._link_block_terms(state), sel)
-    values, g = kernel._enumerate_links(j, k, c_jk, *terms, sel)
-    g = g[0]
-    g -= g.max()
-    probs = np.exp(g)
+    values, g, g_max = kernel._enumerate_links(j, k, c_jk, *terms, sel)
+    probs = np.exp(g[0] - g_max[0])
     probs /= probs.sum()
     return values, probs
 

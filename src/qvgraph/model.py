@@ -55,18 +55,24 @@ def _pair_columns(p: int) -> np.ndarray:
     """(p, p - 1): row j holds the columns of node j's pairs, which
     ``node_pairs`` lists in increasing order of the other node."""
     pairs = node_pairs(p)
-    return np.array([[e for e, pair in enumerate(pairs) if j in pair] for j in range(p)])
+    columns = np.array([[e for e, pair in enumerate(pairs) if j in pair] for j in range(p)])
+    columns.setflags(write=False)  # every caller shares the cached array
+    return columns
 
 
 def node_sums(values: np.ndarray, p: int) -> np.ndarray:
     """Per-node sums of pair-indexed values, shape (..., P) to (..., p).
 
     Node j adds the values of its pairs one after another in increasing
-    order of the other node (a cumulative sum never reorders), as a row sum
-    of the symmetric p x p matrix does below 8 nodes.
+    order of the other node, as a row sum of the symmetric p x p matrix does
+    below 8 nodes: one add over every node and leading index per step.
     """
-    terms = np.asarray(values, dtype=float)[..., _pair_columns(p)]
-    return np.cumsum(terms, axis=-1)[..., -1]
+    values = np.asarray(values, dtype=float)
+    columns = _pair_columns(p)
+    total = values[..., columns[:, 0]]
+    for step in range(1, p - 1):
+        total += values[..., columns[:, step]]
+    return total
 
 
 def _expect_shape(name: str, value, shape: tuple) -> np.ndarray:

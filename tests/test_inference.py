@@ -763,7 +763,8 @@ def test_recurrence_grid_matches_direct_evaluation(kind):
         + fam.log_h_step(a_k + mode, ck)
         + fam.log_b_step(mode, c_jk)
     )
-    values, g = inference._enum_link_grid(fam, a_j, a_k, cj, ck, c_jk, t_sum, 1e-12, 1_000_000)
+    values, g, _ = inference._enum_link_grid(fam, a_j, a_k, cj, ck, c_jk, t_sum, 1e-12,
+                                             1_000_000)
     assert values.size > 16 * 2 ** 5  # the first grid doubled several times
     wide = np.arange(0.0, 2.0 * values.size)
     ref = _direct_logmass(fam, wide, a_j, a_k, cj, ck, c_jk, t_sum)
@@ -773,6 +774,87 @@ def test_recurrence_grid_matches_direct_evaluation(kind):
     ours[:, : values.size] = np.exp(g - g.max(axis=1, keepdims=True))
     ours /= ours.sum(axis=1, keepdims=True)
     assert np.all(0.5 * np.abs(ours - ref).sum(axis=1) <= 1e-10)
+
+
+def _row_major_logmass(fam, values, a_j, a_k, cj, ck, c_jk, t_sum):
+    """Reference link log-mass: the same log-ratio steps laid out (r, m) and
+    accumulated by ``np.cumsum(axis=1)``."""
+    s = values[None, :-1]
+    g = np.zeros((a_j.shape[0], values.shape[0]))
+    g[:, 1:] = (
+        fam.log_h_step(a_j[:, None] + s, cj)
+        + fam.log_h_step(a_k[:, None] + s, ck)
+        + fam.log_b_step(values[:-1], c_jk)[None, :]
+        + t_sum[:, None]
+    )
+    return np.cumsum(g, axis=1)
+
+
+def _grid_inputs(kind, rows):
+    """(c_jk, a_j, a_k, cj, ck, t_sum) of ``rows`` replicates inside the family's
+    support; modes of unbounded links reach 60, past two doublings of the grid."""
+    fam = get_family(kind)
+    gen = np.random.default_rng(rows)
+    a_j = gen.uniform(2.0, 30.0, rows) + 0.37
+    a_k = gen.uniform(2.0, 30.0, rows) + 0.61
+    if kind is FamilyKind.BETA:
+        return 6.0, a_j, a_k, 50.0, 45.0, gen.normal(0.0, 2.0, rows)
+    cj, ck, c_jk = 13.5, 11.0, 3.0
+    mode = gen.choice([0.3, 5.0, 60.0], rows) + gen.uniform(0.0, 2.0, rows)
+    t_sum = -(fam.log_h_step(a_j + mode, cj) + fam.log_h_step(a_k + mode, ck)
+              + fam.log_b_step(mode, c_jk))
+    return c_jk, a_j, a_k, cj, ck, t_sum
+
+
+@pytest.mark.parametrize("rows", [40, 1])
+@pytest.mark.parametrize("kind", [FamilyKind.GAMMA, FamilyKind.BETA, FamilyKind.INVERSE_BETA])
+def test_enumerated_grid_equals_row_major_cumsum(kind, rows):
+    _, data, _ = make_state(kind)
+    kernel = inference._SweepKernel(get_family(kind), data, PriorConfig.default_for(kind),
+                                    MCMCConfig())
+    c_jk, a_j, a_k, cj, ck, t_sum = _grid_inputs(kind, rows)
+    sel = np.arange(rows) if rows > 1 else np.array([2])
+    values, g, g_max = kernel._enumerate_links(0, 1, c_jk, a_j, a_k, cj, ck, t_sum, sel)
+    if kind is FamilyKind.BETA:
+        assert values.size == 7
+    elif rows > 1:
+        assert values.size >= 4 * inference._ENUM_START + 1  # doubled at least twice
+    ref = _row_major_logmass(get_family(kind), values, a_j, a_k, cj, ck, c_jk, t_sum)
+    assert np.array_equal(g, ref)
+    assert np.array_equal(g_max, ref.max(axis=1))
+    assert g.T.flags.c_contiguous  # values-major: the replicate axis is contiguous
+
+
+class _RowUniforms:
+    """A generator stub whose one vector draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u
+
+
+@pytest.mark.parametrize("m", [1, 5, 8, 17, 33, 129, 300])
+def test_rows_softmax_sample_inverts_each_rows_cdf(m):
+    gen = np.random.default_rng(m)
+    rows = 64
+    g = (gen.standard_normal((m, rows)) * gen.uniform(0.1, 30.0, rows)).T  # values-major
+    row_major = np.ascontiguousarray(g)  # the reference sums along contiguous rows
+    probs = np.exp(row_major - row_major.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    cdf = np.cumsum(probs, axis=1)
+    # the ends of [0, 1), random uniforms, and a CDF value and its neighbours
+    u = gen.random(rows)
+    u[:2] = 0.0, 1.0 - 2.0 ** -53
+    at = gen.integers(0, m, rows)
+    cut = cdf[np.arange(rows), at]
+    u[2::3], u[3::3] = cut[2::3], np.nextafter(cut[3::3], 0.0)
+    u[4::3] = np.minimum(np.nextafter(cut[4::3], 1.0), 1.0 - 2.0 ** -53)
+    idx = inference._rows_softmax_sample(g, g.max(axis=1), _RowUniforms(u))
+    expected = [min(int(np.searchsorted(cdf[i], u[i])), m - 1) for i in range(rows)]
+    assert idx.tolist() == expected
 
 
 class TestAnchorConditional:

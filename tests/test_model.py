@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from qvgraph import inference, model
 from qvgraph.errors import DomainError, InfiniteVarianceError, SingularModelError
 from qvgraph.families import FamilyKind
 from qvgraph.model import (
@@ -13,6 +14,7 @@ from qvgraph.model import (
     correlation_matrix,
     log_extended_likelihood,
     marginal_moments,
+    node_sums,
     pairwise_correlation,
     precision_check_3x3,
     simulate,
@@ -408,3 +410,34 @@ class TestExtendedLikelihood:
         for j, k in FIVE_AREA_NONNEIGHBORS:
             assert params.edge_intensity[j, k] == weak
         assert (params.edge_intensity > weak).sum() == 14  # 7 strong pairs mirrored
+
+
+def _mixed_magnitudes(shape, seed):
+    """Values whose sum depends on the order of addition."""
+    gen = np.random.default_rng(seed)
+    return gen.standard_normal(shape) * 10.0 ** gen.integers(-8, 9, shape)
+
+
+class TestNodeSums:
+    """The node and anchor sums add pair after pair, as ``np.cumsum`` does."""
+
+    @pytest.mark.parametrize("p", [3, 5, 8, 12])
+    @pytest.mark.parametrize("lead", [(), (50,), (2, 3, 50)])
+    def test_equals_cumulative_sum_bit_for_bit(self, p, lead):
+        values = _mixed_magnitudes(lead + (p * (p - 1) // 2,), p)
+        ref = np.cumsum(values[..., model._pair_columns(p)], axis=-1)[..., -1]
+        assert np.array_equal(node_sums(values, p), ref)
+
+    @pytest.mark.parametrize("p", [3, 5, 8, 12])
+    def test_anchor_link_total_equals_cumulative_sum_bit_for_bit(self, p):
+        links = _mixed_magnitudes((50, p * (p - 1) // 2), p)
+        edges = np.linspace(0.5, 2.0, links.shape[1])
+        state = inference.ChainState(FamilyKind.GAMMA, 2.0, 3.0, edges, np.ones(50), links)
+        s_i, c_i = inference._anchor_params(state)
+        assert np.array_equal(s_i, 2.0 + np.cumsum(links, axis=1)[:, -1])
+        assert c_i == 3.0 + float(edges.sum())
+
+    def test_cached_pair_columns_are_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            model._pair_columns(4)[0, 0] = 5
+        assert node_sums(np.arange(6.0), 4).tolist() == [3.0, 7.0, 9.0, 11.0]
