@@ -27,9 +27,11 @@ below ``MCMCConfig.enum_tail_tol``, up to ``MCMCConfig.max_enum_states``.
 The grid is stored values-major, (values, replicates) with the replicates
 contiguous, and callers see its (replicates, values) transpose.  The
 log-mass recurrence and the sampler's CDF are accumulated by one add of a
-whole replicate row per value, and a doubled grid appends rows.  The order
-of additions is that of a cumulative sum along each replicate's row, so the
-log-masses and the draws do not depend on the layout.
+whole replicate row per value from 200 replicates on, and by ``np.cumsum``
+down the columns below that, where the adds' fixed call cost would
+dominate; a doubled grid appends rows.  The order of additions is that of a
+cumulative sum along each replicate's row, so the log-masses and the draws
+do not depend on the layout or on the replicate count.
 
 The edge moves evaluate only their candidate.  After the anchors the sweep
 computes, for the current state, each node's sum of log h, each pair's sum of
@@ -445,43 +447,28 @@ def _normal_link_moments(c_jk, excl_j, excl_k, cj, ck, t_sum):
     return mean, 1.0 / np.sqrt(prec)
 
 
+# Replicates from which a Python-level add per grid value beats one
+# np.cumsum down the columns.  Each add costs a call of about 0.7 us, the
+# column-wise cumsum about 5 ns per cell, and the two cross between 150 and
+# 250 replicates (2-vCPU x86 host, numpy 2.4).  Both add in the same order,
+# so the choice never changes a bit of the result.
+_ROW_ADD_MIN_REPLICATES = 200
+
+
 def _running_sum(buf):
     """``buf`` made its own cumulative sum down axis 0, in place.
 
-    One add of whole rows per step, in the left-to-right order of
-    ``np.cumsum``; on a values-major grid each add runs along the long,
-    contiguous replicate axis.
+    Left to right, as ``np.cumsum`` adds: with at least
+    ``_ROW_ADD_MIN_REPLICATES`` columns (replicates) by one add of whole
+    rows per step, each along the long, contiguous axis of a values-major
+    grid; with fewer by ``np.cumsum`` itself.
     """
-    for i in range(1, buf.shape[0]):
-        np.add(buf[i - 1], buf[i], out=buf[i])
+    if buf.shape[1] < _ROW_ADD_MIN_REPLICATES:
+        return np.cumsum(buf, axis=0, out=buf)
+    rows = list(buf)
+    for prev, row in zip(rows, rows[1:]):
+        np.add(prev, row, out=row)
     return buf
-
-
-def _pairwise_sum(x):
-    """Sum of ``x`` down axis 0 in numpy's pairwise order.
-
-    For each column this is bit for bit what ``np.sum`` gives on that column
-    laid out contiguously: up to 8 terms added in turn; up to 128 terms in 8
-    running sums, combined in pairs, then the remaining terms in turn; more
-    terms split in two halves at a multiple of 8.  The sampler normalizes
-    with it so that its CDF equals the one of a row-major grid.
-    """
-    m = x.shape[0]
-    if m > 128:
-        half = m // 2 - (m // 2) % 8
-        return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
-    if m < 8:
-        total, top = x[0].copy(), 1
-    else:
-        top = m - m % 8
-        acc = x[:8].copy()
-        for i in range(8, top, 8):
-            acc += x[i:i + 8]
-        acc = acc[0::2] + acc[1::2]
-        total = (acc[0] + acc[1]) + (acc[2] + acc[3])
-    for row in x[top:]:
-        total += row
-    return total
 
 
 def _enum_link_logmass(fam, values, a_j, a_k, cj, ck, c_jk, t_sum, g0=0.0):
@@ -554,11 +541,11 @@ def _rows_softmax_sample(g, g_max, rng):
     CDF with one uniform per row.
 
     Works down the values-major ``g.T``, with the row-major grid's order of
-    additions (see ``_pairwise_sum``, ``_running_sum``), so every index is
-    the one ``np.searchsorted`` finds on that CDF, clamped to the last value.
+    additions, so every index is the one ``np.searchsorted`` finds on that
+    CDF, clamped to the last value.
     """
     p = np.exp(g.T - g_max)
-    p /= _pairwise_sum(p)
+    p /= np.ascontiguousarray(p.T).sum(axis=1)  # numpy's pairwise row sum
     cum = _running_sum(p)
     u = rng.random(g.shape[0])
     idx = (u > cum).sum(axis=0)

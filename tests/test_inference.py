@@ -806,7 +806,11 @@ def _grid_inputs(kind, rows):
     return c_jk, a_j, a_k, cj, ck, t_sum
 
 
-@pytest.mark.parametrize("rows", [40, 1])
+# Replicate counts on both sides of the choice between np.cumsum and row adds
+_BOTH_SUMS = [1, 40, inference._ROW_ADD_MIN_REPLICATES]
+
+
+@pytest.mark.parametrize("rows", _BOTH_SUMS)
 @pytest.mark.parametrize("kind", [FamilyKind.GAMMA, FamilyKind.BETA, FamilyKind.INVERSE_BETA])
 def test_enumerated_grid_equals_row_major_cumsum(kind, rows):
     _, data, _ = make_state(kind)
@@ -836,10 +840,10 @@ class _RowUniforms:
         return self.u
 
 
+@pytest.mark.parametrize("rows", _BOTH_SUMS[1:])
 @pytest.mark.parametrize("m", [1, 5, 8, 17, 33, 129, 300])
-def test_rows_softmax_sample_inverts_each_rows_cdf(m):
+def test_rows_softmax_sample_inverts_each_rows_cdf(m, rows):
     gen = np.random.default_rng(m)
-    rows = 64
     g = (gen.standard_normal((m, rows)) * gen.uniform(0.1, 30.0, rows)).T  # values-major
     row_major = np.ascontiguousarray(g)  # the reference sums along contiguous rows
     probs = np.exp(row_major - row_major.max(axis=1, keepdims=True))
