@@ -95,7 +95,9 @@ class Family:
     O(n).  The normal, gamma and inverse-gamma members use closed forms in
     one or two numbers (sum s**2; sum s and sum gammaln(s); sum log s), O(1)
     in c, which give -inf or nan at an out-of-support c, as the array sum
-    does, rather than raise.
+    does, rather than raise.  The summaries take ndarrays and sum with the
+    array's own ``sum``: the reduction of ``np.sum``, without its dispatch
+    layer.
     """
 
     kind: FamilyKind
@@ -140,11 +142,11 @@ class Family:
 
     def log_h_sum(self, summary, c) -> float:
         """sum_i log h(s_i, c) from ``h_summary(s)``."""
-        return float(np.sum(self.log_h(summary, c)))
+        return float(self.log_h(summary, c).sum())
 
     def log_b_sum(self, summary, c) -> float:
         """sum_i log b(s_i, c) from ``b_summary(s)``."""
-        return float(np.sum(self.log_b(summary, c)))
+        return float(self.log_b(summary, c).sum())
 
     # -- densities ---------------------------------------------------------
     def log_w_density(self, w, s, c):
@@ -268,9 +270,9 @@ class NormalFamily(Family):
         return 0.5 * (np.log(c) - _LOG_2PI) - s * s / (2.0 * c)
 
     def h_summary(self, s):
-        # np.sum, not a dot product: the sum must not depend on whether s is
+        # a sum, not a dot product: the sum must not depend on whether s is
         # a strided column or a contiguous copy
-        return s.shape[0], float(np.sum(s * s))
+        return s.shape[0], float((s * s).sum())
 
     def log_h_sum(self, summary, c) -> float:
         n, sum_sq = summary
@@ -330,14 +332,14 @@ class GammaFamily(Family):
         return s * np.log(c) - special.gammaln(s)
 
     def h_summary(self, s):
-        return float(np.sum(s)), float(np.sum(special.gammaln(s)))
+        return float(s.sum()), float(special.gammaln(s).sum())
 
     def log_h_sum(self, summary, c) -> float:
         sum_s, sum_lgamma = summary
         return _log(c) * sum_s - sum_lgamma
 
     def b_summary(self, s):
-        return float(np.sum(s)), float(np.sum(special.gammaln(s + 1.0)))
+        return float(s.sum()), float(special.gammaln(s + 1.0).sum())
 
     log_b_sum = log_h_sum  # log c * sum s - sum gammaln(s + 1), from b_summary
 
@@ -397,7 +399,7 @@ class InverseGammaFamily(Family):
         return (c + 1.0) * np.log(s) - special.gammaln(c + 1.0)
 
     def h_summary(self, s):
-        return s.shape[0], float(np.sum(np.log(s)))
+        return s.shape[0], float(np.log(s).sum())
 
     def log_h_sum(self, summary, c) -> float:
         n, sum_log = summary
@@ -703,7 +705,7 @@ class ScaledStudentFamily(Family):
         if np.ndim(s) == 0 and np.ndim(c) == 0:
             return np.tan(_gsst_anchor_table(float(s), float(c)).sample(rng, size))
         return _elementwise(
-            lambda si, ci: math.tan(float(_gsst_anchor_table(si, ci).sample(rng))), s, c)
+            lambda si, ci: float(np.tan(_gsst_anchor_table(si, ci).sample(rng))), s, c)
 
     def sample_link(self, w, c, rng):
         return _elementwise(lambda wi, ci: float(_gsst_link_table(wi, ci).sample(rng)), w, c)

@@ -59,6 +59,7 @@ import multiprocessing
 import os
 import pickle
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -109,11 +110,18 @@ __all__ = [
 _NEG_INF = float("-inf")
 
 
-def _gamma_logpdf(x: float, a: float, b: float) -> float:
-    """Log density of a gamma with shape a and rate b."""
+def _gamma_log_norm(a: float, b: float) -> float:
+    """a log b - log Gamma(a), the log normalizing constant of a gamma with
+    shape a and rate b; each prior computes it once."""
+    return a * math.log(b) - float(special.gammaln(a))
+
+
+def _gamma_logpdf(x: float, a: float, b: float, log_norm: float) -> float:
+    """Log density of a gamma with shape a, rate b and ``_gamma_log_norm``
+    ``log_norm``."""
     if x <= 0.0 or not math.isfinite(x):
         return _NEG_INF
-    return a * math.log(b) - special.gammaln(a) + (a - 1.0) * math.log(x) - b * x
+    return log_norm + (a - 1.0) * math.log(x) - b * x
 
 
 def _poisson_logpmf(k: float, lam: float) -> float:
@@ -172,9 +180,10 @@ class GammaS0Prior:
     def __post_init__(self):
         if not (self.a > 0.0 and self.b > 0.0):
             raise DomainError("s0 prior shape and rate must be strictly positive")
+        object.__setattr__(self, "_log_norm", _gamma_log_norm(self.a, self.b))
 
     def logpdf(self, s0: float, c0: float) -> float:
-        return _gamma_logpdf(s0, self.a, self.b)
+        return _gamma_logpdf(s0, self.a, self.b, self._log_norm)
 
     def start(self, c0: float, rng=None) -> float:
         s0 = self.a / self.b  # the prior mean
@@ -227,7 +236,8 @@ class PriorConfig:
     Continuous edge intensities get a Ga(a0, b0) prior; integer intensities
     (binomial and negative-binomial link families) get a Po(d0) prior
     restricted to positive values.  c0 is Ga(ac, bc) in every family and the
-    s0 prior takes the family-matched form.
+    s0 prior takes the family-matched form.  Each gamma prior's log
+    normalizing constant is computed once, at construction.
     """
 
     a0: float = 1.0
@@ -243,6 +253,8 @@ class PriorConfig:
         for name in ("a0", "b0", "d0", "ac", "bc"):
             if not getattr(self, name) > 0.0:
                 raise DomainError(f"prior constant {name} must be strictly positive")
+        object.__setattr__(self, "_edge_log_norm", _gamma_log_norm(self.a0, self.b0))
+        object.__setattr__(self, "_c0_log_norm", _gamma_log_norm(self.ac, self.bc))
 
     @classmethod
     def default_for(cls, family, **kwargs) -> "PriorConfig":
@@ -263,10 +275,10 @@ class PriorConfig:
             if c < 1:
                 return _NEG_INF  # intensities are kept strictly positive
             return _poisson_logpmf(c, self.d0)
-        return _gamma_logpdf(c, self.a0, self.b0)
+        return _gamma_logpdf(c, self.a0, self.b0, self._edge_log_norm)
 
     def log_c0_prior(self, c0: float) -> float:
-        return _gamma_logpdf(c0, self.ac, self.bc)
+        return _gamma_logpdf(c0, self.ac, self.bc, self._c0_log_norm)
 
     def log_prior(self, fam: Family, s0: float, c0: float, edges: np.ndarray) -> float:
         total = self.log_c0_prior(c0) + self.s0_prior.logpdf(s0, c0)
@@ -392,6 +404,20 @@ def _metropolis(state: ChainState, name: str, log_ratio: float, rng) -> bool:
 
 def _edge_label(j: int, k: int) -> str:
     return f"c_{j + 1}_{k + 1}"
+
+
+class _BlockNames(NamedTuple):
+    """Step-size and acceptance-counter names of one pair's blocks."""
+
+    link: str
+    edge: str
+    scale: str
+    refresh: str
+
+
+def _block_names(j: int, k: int) -> _BlockNames:
+    tag = f"{j + 1}_{k + 1}"
+    return _BlockNames(f"link_{tag}", f"edge_{tag}", f"scale_{tag}", f"refresh_{tag}")
 
 
 # ---------------------------------------------------------------------------
@@ -594,12 +620,14 @@ class _SweepKernel:
         self.config = config
         self.n, self.p = data.y.shape
         self.theta_y = np.asarray(fam.theta(data.y), dtype=float)
+        self.theta_y_col = list(self.theta_y.T)  # the strided views theta_y[:, node]
         m_y = np.asarray(fam.cumulant(data.y), dtype=float)
         self.theta_y_total = float(self.theta_y.sum())
         self.m_y_total = float(m_y.sum())
-        self.m_y_node = m_y.sum(axis=0)
+        self.m_y_node = m_y.sum(axis=0).tolist()
         self.pairs = node_pairs(self.p)
         self.column = {pair: e for e, pair in enumerate(self.pairs)}  # pair -> its column
+        self.names = {pair: _block_names(*pair) for pair in self.pairs}
 
     def _lookup_pair(self, state: ChainState, j, k, positive=False):
         """(j, k) ordered and the pair's column; ``IndexError`` unless j and k
@@ -691,6 +719,7 @@ class _SweepKernel:
     def _inverse_gamma_links(self, state: ChainState, j, k, rng, sel, theta_w, c_jk, terms):
         # log h(s, c) = (c + 1) log s - const, log b(t, c) = (c - 1) log t - const
         cur, a_j, a_k, cj, ck, t_sum = terms
+        name = self.names[j, k].link
         t_y = t_sum - theta_w[sel]
         with np.errstate(divide="ignore", invalid="ignore"):
             # independence refresh: propose from the conditional link prior
@@ -710,7 +739,7 @@ class _SweepKernel:
             log_j_cur = np.where(accept, log_j_prop, log_j_cur)  # log(a_j + cur)
             log_k_cur = np.where(accept, log_k_prop, log_k_cur)
             # local log-scale random walk
-            eps = rng.normal(0.0, state.step_sizes[f"link_{j + 1}_{k + 1}"], size=cur.shape)
+            eps = rng.normal(0.0, state.step_sizes[name], size=cur.shape)
             prop = cur * np.exp(eps)
             log_ratio = np.log(prop) - np.log(cur)
             delta = (
@@ -721,9 +750,9 @@ class _SweepKernel:
                 + log_ratio  # log-scale proposal Jacobian
             )
             accept = (np.log(rng.random(cur.shape[0])) < delta) & (prop > 0.0)
-        counter = state.accept.setdefault(f"link_{j + 1}_{k + 1}", [0, 0])
+        counter = state.accept.setdefault(name, [0, 0])
         counter[0] += int(accept.sum())
-        counter[1] += int(accept.size)
+        counter[1] += accept.size
         return np.where(accept, prop, cur)
 
     # -- block V: anchors ----------------------------------------------------
@@ -764,32 +793,33 @@ class _SweepKernel:
         a move that keeps or rescales the links.  Only the candidate side is
         evaluated; the current side comes from ``terms``.  ``new_s=None``
         holds the links fixed: the sums come from the stored summaries, with
-        no dS arithmetic and each dot product 0.0.
+        no array arithmetic, and each dot product is the 0.0 it would be.
 
         Returns (ratio, ((log h sum, h summary) of node j, of node k,
         (log b sum, b summary) or None without the link level, log edge
-        prior)); (-inf, None) outside the support.
+        prior, dS or None)); (-inf, None) outside the support.
         """
         fam, col = self.fam, self.column[j, k]
-        lp_new = self.prior.log_edge_prior(fam, new_c) if lp_new is None else lp_new
-        links = state.links[:, col] if new_s is None else new_s
-        if not math.isfinite(lp_new) or (
-            fam.kind is FamilyKind.BETA and np.any(links > new_c)
-        ):
+        if lp_new is None:
+            lp_new = self.prior.log_edge_prior(fam, new_c)
+        if not math.isfinite(lp_new) or (fam.kind is FamilyKind.BETA and (
+                (state.links[:, col] if new_s is None else new_s) > new_c).any()):
             return _NEG_INF, None
         d_c = new_c - float(state.edges[col])
-        d_s = None if new_s is None else new_s - state.links[:, col]
         total = lp_new - terms.lp_pair[col]
-        h_new = []
-        for node in (j, k):
-            if d_s is None:
-                stat, dot = terms.h_stat[node], 0.0
-            else:
-                stat = fam.h_summary(s_star[:, node] + d_s)
-                dot = float(self.theta_y[:, node] @ d_s)
-            h = fam.log_h_sum(stat, c_star[node] + d_c)
-            total += (h - terms.h_node[node]) + dot - d_c * self.m_y_node[node]
-            h_new.append((h, stat))
+        if new_s is None:
+            d_s = None
+            stat_j, stat_k, dot_j, dot_k = terms.h_stat[j], terms.h_stat[k], 0.0, 0.0
+        else:
+            d_s = new_s - state.links[:, col]
+            stat_j = fam.h_summary(s_star[:, j] + d_s)
+            dot_j = float(self.theta_y_col[j] @ d_s)
+            stat_k = fam.h_summary(s_star[:, k] + d_s)
+            dot_k = float(self.theta_y_col[k] @ d_s)
+        h_j = fam.log_h_sum(stat_j, c_star[j] + d_c)
+        total += (h_j - terms.h_node[j]) + dot_j - d_c * self.m_y_node[j]
+        h_k = fam.log_h_sum(stat_k, c_star[k] + d_c)
+        total += (h_k - terms.h_node[k]) + dot_k - d_c * self.m_y_node[k]
         b_new = None
         if link_level:
             if d_s is None:
@@ -799,7 +829,7 @@ class _SweepKernel:
             b = fam.log_b_sum(stat, new_c)
             total += (b - terms.b_pair[col]) + dot - d_c * terms.m_w_total
             b_new = (b, stat)
-        return total, (h_new[0], h_new[1], b_new, lp_new)
+        return total, ((h_j, stat_j), (h_k, stat_k), b_new, lp_new, d_s)
 
     def _commit_pair(self, state: ChainState, j, k, s_star, c_star, new_c, new_s, terms,
                      cand):
@@ -812,16 +842,15 @@ class _SweepKernel:
         refresh) has its sum computed here.
         """
         col = self.column[j, k]
+        (h_j, stat_j), (h_k, stat_k), b_new, lp_new, d_s = cand
         d_c = new_c - float(state.edges[col])
         state.edges[col] = new_c
         c_star[j] += d_c
         c_star[k] += d_c
         if new_s is not None:
-            d_s = new_s - state.links[:, col]
             state.links[:, col] = new_s
             s_star[:, j] += d_s
             s_star[:, k] += d_s
-        (h_j, stat_j), (h_k, stat_k), b_new, lp_new = cand
         if b_new is None:
             stat = self.fam.b_summary(state.links[:, col])
             b_new = (self.fam.log_b_sum(stat, new_c), stat)
@@ -841,7 +870,7 @@ class _SweepKernel:
 
     def _update_edge(self, state: ChainState, j, k, rng, s_star, c_star, terms):
         # Random walk on the intensity alone; the links are held fixed.
-        name = f"edge_{j + 1}_{k + 1}"
+        name = self.names[j, k].edge
         new_c, jac = self._propose_intensity(state, name, self.column[j, k], rng)
         ratio, cand = self._pair_candidate(state, j, k, s_star, c_star, new_c, None, terms)
         if _metropolis(state, name, ratio + jac, rng):
@@ -857,13 +886,13 @@ class _SweepKernel:
         # outside the edge prior's support, where no links are drawn (the
         # draw uses the rng), and where a gamma link draw underflows to 0.
         fam = self.fam
-        name = f"refresh_{j + 1}_{k + 1}"
+        name = self.names[j, k].refresh
         new_c, jac = self._propose_intensity(state, name, self.column[j, k], rng)
         ratio, cand, new_s = _NEG_INF, None, None
         lp_new = self.prior.log_edge_prior(fam, new_c)
         if math.isfinite(lp_new):
-            new_s = np.asarray(fam.sample_link(state.w, new_c, rng), dtype=float)
-            if fam.kind is not FamilyKind.INVERSE_GAMMA or np.all(new_s > 0.0):
+            new_s = fam.sample_link(state.w, new_c, rng)  # float, shape (n,)
+            if fam.kind is not FamilyKind.INVERSE_GAMMA or (new_s > 0.0).all():
                 with np.errstate(divide="ignore", invalid="ignore"):
                     ratio, cand = self._pair_candidate(state, j, k, s_star, c_star, new_c, new_s,
                                                        terms, link_level=False, lp_new=lp_new)
@@ -875,7 +904,7 @@ class _SweepKernel:
     def _update_edge_scale(self, state: ChainState, j, k, rng, s_star, c_star, terms):
         # Deterministic scaling move (c, S_1..S_n) -> e^eps * (c, S_1..S_n);
         # breaks the ridge between an intensity and its links.
-        name = f"scale_{j + 1}_{k + 1}"
+        name = self.names[j, k].scale
         eps = rng.normal(0.0, state.step_sizes[name])
         factor = math.exp(eps)
         col = self.column[j, k]
@@ -962,10 +991,11 @@ class _SweepKernel:
 def _default_steps(config: MCMCConfig, p: int) -> dict:
     steps = {"s0": config.step_sizes.s0, "c0": config.step_sizes.c0}
     for j, k in node_pairs(p):
-        steps[f"edge_{j + 1}_{k + 1}"] = config.step_sizes.edge
-        steps[f"link_{j + 1}_{k + 1}"] = config.step_sizes.link
-        steps[f"scale_{j + 1}_{k + 1}"] = config.step_sizes.edge
-        steps[f"refresh_{j + 1}_{k + 1}"] = config.step_sizes.edge
+        names = _block_names(j, k)
+        steps[names.edge] = config.step_sizes.edge
+        steps[names.link] = config.step_sizes.link
+        steps[names.scale] = config.step_sizes.edge
+        steps[names.refresh] = config.step_sizes.edge
     return steps
 
 

@@ -531,9 +531,16 @@ class TestScaledStudentElementwise:
         rng = np.random.default_rng(5)
         expected = [[self.fam.sample_w(self.s[i, j], self.c[j], rng) for j in range(3)]
                     for i in range(2)]
-        # the scalar call takes np.tan of the draw and an element math.tan,
-        # which may round the last bit apart
-        np.testing.assert_array_max_ulp(draws, np.array(expected), maxulp=2)
+        assert np.array_equal(draws, expected)
+
+    def test_sample_w_on_many_elements_is_the_scalar_call(self):
+        # math.tan and np.tan round about 1 angle in 200 apart in the last
+        # bit, so 2000 draws from one table tell them apart
+        s = np.full(2000, 0.5)
+        draws = self.fam.sample_w(s, 3.0, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        expected = [self.fam.sample_w(0.5, 3.0, rng) for _ in range(s.size)]
+        assert np.array_equal(draws, expected)
 
     def test_sample_link_on_arrays_is_the_scalar_call(self):
         w = np.array([[0.2, -0.4], [1.1, 0.0]])

@@ -1,8 +1,9 @@
+import copy
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from qvgraph import inference
 from qvgraph.errors import ChainError, DomainError, EnumerationOverflowError
@@ -104,6 +105,29 @@ class TestPriorConfig:
     def test_s0_form_constants_checked(self, form, constants):
         with pytest.raises(DomainError, match="s0 prior"):
             form(**constants)
+
+    # shape and rate pairs: the defaults, the vague 0.01 and a shape below 1
+    GAMMA_CONSTANTS = [(1.0, 1.0), (0.01, 0.01), (2.5, 0.3), (0.4, 7.0)]
+
+    @pytest.mark.parametrize("kind", INFERENCE_KINDS)
+    @pytest.mark.parametrize("a, b", GAMMA_CONSTANTS)
+    def test_gamma_priors_are_the_uncached_density(self, kind, a, b):
+        # the log normalizing constant is computed once per prior; every
+        # density must still be the full expression, bit for bit
+        prior = PriorConfig.default_for(kind, a0=a, b0=b, ac=a, bc=b)
+        fam = get_family(kind)
+        densities = [prior.log_c0_prior]
+        if not fam.integer_intensity:
+            densities.append(lambda x: prior.log_edge_prior(fam, x))
+        if isinstance(prior.s0_prior, GammaS0Prior):
+            s0_prior = GammaS0Prior(a, b)
+            densities.append(lambda x: s0_prior.logpdf(x, 1.0))
+        for density in densities:
+            for x in (1e-300, 0.3, 1.0, 7.5, 1e4):
+                expected = a * math.log(b) - special.gammaln(a) + (a - 1) * math.log(x) - b * x
+                assert density(x) == expected
+            for x in (0.0, -0.0, -1.0, math.inf, -math.inf, math.nan):
+                assert density(x) == -math.inf
 
 
 class TestInitialState:
@@ -356,6 +380,84 @@ class TestEdgeMoveRatios:
         s_fresh, c_fresh = node_levels(state)
         assert np.allclose(s_star, s_fresh, rtol=0, atol=1e-12)
         assert np.allclose(c_star, c_fresh, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", INFERENCE_KINDS)
+    @pytest.mark.parametrize("link_level", [True, False])
+    def test_fixed_links_path_is_the_unchanged_links_candidate(self, kind, link_level):
+        # new_s=None reads the stored summaries; a copy of the current links
+        # goes through the array arithmetic with dS = 0
+        data, state, prior, kernel, s_star, c_star = self.setup_move(kind)
+        fam = get_family(kind)
+        for e, (j, k) in enumerate(kernel.pairs):
+            cur_c = float(state.edges[e])
+            new_c = cur_c + 1.0 if fam.integer_intensity else 1.3 * cur_c
+            terms = kernel._edge_terms(state, s_star, c_star)
+            fixed = kernel._pair_candidate(state, j, k, s_star, c_star, new_c, None, terms,
+                                           link_level)
+            copied = kernel._pair_candidate(state, j, k, s_star, c_star, new_c,
+                                            state.links[:, e].copy(), terms, link_level)
+            assert fixed[0] == copied[0]
+            (h_j, h_k, b_new, lp_new, d_s), other = fixed[1], copied[1]
+            assert d_s is None and np.array_equal(other[4], np.zeros(data.n))
+            assert lp_new == other[3]
+            pairs = [(h_j, other[0]), (h_k, other[1])]
+            if link_level:
+                pairs.append((b_new, other[2]))
+            else:
+                assert b_new is None and other[2] is None
+            for (value, stat), (other_value, other_stat) in pairs:
+                assert value == other_value
+                assert np.array_equal(np.asarray(stat), np.asarray(other_stat))
+
+
+class _LinkDrawStub:
+    """A generator whose gamma draws hold ``value`` at one replicate and that
+    fails on any uniform."""
+
+    def __init__(self, rng, value):
+        self._rng, self.value = rng, value
+
+    def standard_gamma(self, *args, **kwargs):
+        draw = self._rng.standard_gamma(*args, **kwargs)
+        draw[1] = self.value
+        return draw
+
+    def random(self, *args, **kwargs):
+        raise AssertionError("drew a uniform")
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class TestRefreshSupportCheck:
+    """An inverse-gamma refresh whose gamma link draw leaves (0, inf) is
+    rejected before its ratio, without a uniform."""
+
+    @pytest.mark.parametrize("value", [0.0, math.nan])
+    def test_link_draw_outside_the_support_is_rejected(self, value):
+        kind = FamilyKind.INVERSE_GAMMA
+        _, data, state = make_state(kind, n=6)
+        config = MCMCConfig()
+        kernel = inference._SweepKernel(get_family(kind), data, PriorConfig.default_for(kind),
+                                        config)
+        inference._ensure_steps(state, config)
+        s_star, c_star = node_levels(state)
+        terms = kernel._edge_terms(state, s_star, c_star)
+        before = copy.deepcopy((state.edges, state.links, state.w, state.s0, state.c0,
+                                s_star, c_star))
+        kept = {name: copy.deepcopy(getattr(terms, name)) for name in terms.__slots__}
+        kernel._update_edge_refresh(state, 0, 1, _LinkDrawStub(np.random.default_rng(2), value),
+                                    s_star, c_star, terms)
+        assert state.accept == {"refresh_1_2": [0, 1]}
+        after = (state.edges, state.links, state.w, state.s0, state.c0, s_star, c_star)
+        for old, new in zip(before, after):
+            assert np.array_equal(old, new)
+        for name, old in kept.items():
+            new = getattr(terms, name)
+            if isinstance(old, np.ndarray):
+                assert np.array_equal(old, new)
+            else:
+                assert old == new, name
 
 
 class _ForcedAccept:
