@@ -42,7 +42,6 @@ from .inference import (
     ParamSummary,
     PosteriorSamples,
     PriorConfig,
-    StepSizes,
     UniformOnC0S0Prior,
     gibbs_sweep,
     initial_state,

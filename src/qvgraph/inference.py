@@ -23,7 +23,7 @@ cumulative sum of the exact log-ratios of successive masses (the families'
 ``log_h_step``/``log_b_step``), so no log-gamma is evaluated.  Binomial links
 use the whole support 0..c_jk; Poisson and negative-binomial links start from
 a short grid that doubles until a geometric bound on the cut-off tail falls
-below ``MCMCConfig.enum_tail_tol``, up to ``MCMCConfig.max_enum_states``.
+below ``_ENUM_TAIL_TOL`` = 1e-12, up to ``MCMCConfig.max_enum_states``.
 The grid is stored values-major, (values, replicates) with the replicates
 contiguous, and callers see its (replicates, values) transpose.  The
 log-mass recurrence and the sampler's CDF are accumulated by one add of a
@@ -85,7 +85,6 @@ __all__ = [
     "GammaS0Prior",
     "UniformOnC0S0Prior",
     "PriorConfig",
-    "StepSizes",
     "MCMCConfig",
     "ChainState",
     "PosteriorSamples",
@@ -216,9 +215,10 @@ class UniformOnC0S0Prior:
 
 
 # Each family's sampler (see the module docstring): its s0 prior form and, by
-# ``_SweepKernel`` method name, its link draw, edge moves and intensity proposal.
-_ALL_MOVES = ("_update_edge", "_update_edge_scale", "_update_edge_refresh")
-_NO_SCALE = ("_update_edge", "_update_edge_refresh")
+# ``_SweepKernel`` method name, its link draw, the edge moves made on each pair
+# in order (three rounds) and its intensity proposal.
+_ALL_MOVES = ("_update_edge", "_update_edge_scale", "_update_edge_refresh") * 3
+_NO_SCALE = ("_update_edge", "_update_edge_refresh") * 3
 _SCHEDULES = {
     FamilyKind.NORMAL: (NormalS0Prior, "_normal_links", _ALL_MOVES, "_log_step"),
     FamilyKind.GAMMA: (GammaS0Prior, "_enumerated_links", _NO_SCALE, "_log_step"),
@@ -292,16 +292,6 @@ class PriorConfig:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class StepSizes:
-    """Initial random-walk scales per block (adapted during burn-in)."""
-
-    s0: float = 0.5
-    c0: float = 0.5
-    edge: float = 0.5
-    link: float = 0.8
-
-
-@dataclass(frozen=True)
 class MCMCConfig:
     """Chain controls of ``run_chains``.
 
@@ -316,12 +306,9 @@ class MCMCConfig:
     thinning: int = 40
     chains: int = 2
     seed: int = 0
-    step_sizes: StepSizes = field(default_factory=StepSizes)
-    enum_tail_tol: float = 1e-12
     adapt_window: int = 50
     max_enum_states: int = 1_000_000
     keep_latents: bool = True
-    edge_moves: int = 3
     workers: int | None = None
 
     def __post_init__(self):
@@ -335,20 +322,11 @@ class MCMCConfig:
             raise DomainError("at least one chain is required")
         if self.adapt_window < 1:
             raise DomainError("adapt_window must be >= 1")
-        if self.edge_moves < 1:
-            raise DomainError("edge_moves must be >= 1")
-        if not 0.0 < self.enum_tail_tol < 1.0:
-            # at 0, below or nan no tail is ever cut; at 1 or above the cut-off
-            # tail may hold as much mass as the largest term
-            raise DomainError("enum_tail_tol must lie strictly between 0 and 1")
         if self.workers is not None and self.workers < 1:
             raise DomainError("workers must be >= 1")
         if self.retained_per_chain < 1:
             raise DomainError("(iterations - burn_in) // thinning must be >= 1: the "
                               "chains would retain no draws")
-        for name in ("s0", "c0", "edge", "link"):
-            if not getattr(self.step_sizes, name) > 0.0:
-                raise DomainError(f"step size {name} must be strictly positive")
 
     @property
     def retained_per_chain(self) -> int:
@@ -524,18 +502,20 @@ def _enum_link_logmass(fam, values, a_j, a_k, cj, ck, c_jk, t_sum, g0=0.0):
 # (the gamma scenarios' usual case) cost few cells; larger links cost a few
 # extensions of the grid.
 _ENUM_START = 16
+# Relative size of the cut-off tail below which an unbounded grid stops doubling.
+_ENUM_TAIL_TOL = 1e-12
 
 
-def _enum_link_grid(fam, a_j, a_k, cj, ck, c_jk, t_sum, tail_tol, cap):
+def _enum_link_grid(fam, a_j, a_k, cj, ck, c_jk, t_sum, cap):
     """Adaptive grid of an unbounded discrete link conditional.
 
     The grid is anchored at 0, so no lower tail is ever cut, and starts at
     ``_ENUM_START`` steps.  It doubles until, for every replicate, the terms
     decay past the mode and the geometric tail bound (the last term times
     r / (1 - r), with r the ratio of the last two terms) drops below
-    ``tail_tol`` relative to the largest term.  Each doubling continues the
-    log-ratio recurrence of ``_enum_link_logmass`` from the last value and
-    appends the new values' rows to the values-major buffer instead of
+    ``_ENUM_TAIL_TOL`` relative to the largest term.  Each doubling continues
+    the log-ratio recurrence of ``_enum_link_logmass`` from the last value
+    and appends the new values' rows to the values-major buffer instead of
     rebuilding the grid.  Returns the values, the (r, m) log mass and each
     replicate's largest log mass.
     """
@@ -548,7 +528,7 @@ def _enum_link_grid(fam, a_j, a_k, cj, ck, c_jk, t_sum, tail_tol, cap):
         decreasing = last < prev
         ratio = np.exp(np.minimum(last - prev, -1e-12))
         bound = np.exp(last - g_max) * ratio / (1.0 - ratio)
-        if np.all(decreasing) and np.all(bound < tail_tol):
+        if np.all(decreasing) and np.all(bound < _ENUM_TAIL_TOL):
             return values, g.T, g_max
         m = 2 * (values.shape[0] - 1)
         if m > cap:
@@ -689,17 +669,12 @@ class _SweepKernel:
             values = np.arange(0.0, count + 1.0)
             g = _enum_link_logmass(fam, values, a_j, a_k, cj, ck, c_jk, t_sum)
             return values, g, g.max(axis=1)
-        return _enum_link_grid(
-            fam, a_j, a_k, cj, ck, c_jk, t_sum,
-            self.config.enum_tail_tol, self.config.max_enum_states,
-        )
+        return _enum_link_grid(fam, a_j, a_k, cj, ck, c_jk, t_sum, self.config.max_enum_states)
 
     def _update_links_pair(self, state: ChainState, j, k, rng, s_star, theta_w, c_node,
                            sel=slice(None)):
         col = self.column[j, k]
         c_jk = float(state.edges[col])
-        if c_jk == 0.0:
-            return
         terms = self._pair_terms(state, j, k, s_star, theta_w, c_node, sel)
         new = self._draw_links(state, j, k, rng, sel, theta_w, c_jk, terms)
         delta_s = new - terms[0]
@@ -967,9 +942,8 @@ class _SweepKernel:
 
         terms = self._edge_terms(state, s_star, c_star)
         for j, k in self.pairs:
-            for _ in range(self.config.edge_moves):
-                for move in self._edge_moves:
-                    move(state, j, k, rng, s_star, c_star, terms)
+            for move in self._edge_moves:
+                move(state, j, k, rng, s_star, c_star, terms)
 
         edge_rowsum = node_sums(state.edges, self.p)
         self._update_c0(state, rng, terms, edge_rowsum)
@@ -988,20 +962,19 @@ class _SweepKernel:
 # Public single-site operations
 # ---------------------------------------------------------------------------
 
-def _default_steps(config: MCMCConfig, p: int) -> dict:
-    steps = {"s0": config.step_sizes.s0, "c0": config.step_sizes.c0}
+def _default_steps(p: int) -> dict:
+    """Initial random-walk scales by block, adapted during burn-in: 0.5, and
+    0.8 for the inverse-gamma link walk."""
+    steps = {"s0": 0.5, "c0": 0.5}
     for j, k in node_pairs(p):
         names = _block_names(j, k)
-        steps[names.edge] = config.step_sizes.edge
-        steps[names.link] = config.step_sizes.link
-        steps[names.scale] = config.step_sizes.edge
-        steps[names.refresh] = config.step_sizes.edge
+        steps.update({names.edge: 0.5, names.link: 0.8, names.scale: 0.5, names.refresh: 0.5})
     return steps
 
 
-def _ensure_steps(state: ChainState, config: MCMCConfig):
+def _ensure_steps(state: ChainState):
     if not state.step_sizes:
-        state.step_sizes = _default_steps(config, state.p)
+        state.step_sizes = _default_steps(state.p)
 
 
 def sample_link_conditional(state: ChainState, data: Dataset, i: int, j: int, k: int,
@@ -1015,7 +988,7 @@ def sample_link_conditional(state: ChainState, data: Dataset, i: int, j: int, k:
     config = config or MCMCConfig()
     kernel = _SweepKernel(get_family(state.family), data, PriorConfig.default_for(state.family), config)
     j, k, col = kernel._lookup_pair(state, j, k, positive=True)
-    _ensure_steps(state, config)
+    _ensure_steps(state)
     kernel._update_links_pair(state, j, k, rng, *kernel._link_block_terms(state),
                               sel=np.array([i]))
     return float(state.links[i, col])
@@ -1070,7 +1043,7 @@ def link_conditional_normal_coeffs(state: ChainState, data: Dataset, i: int, j: 
     if fam.kind is not FamilyKind.NORMAL:
         raise DomainError("completed-square coefficients exist for the normal family only")
     kernel = _SweepKernel(fam, data, PriorConfig.default_for(fam), MCMCConfig())
-    j, k, col = kernel._lookup_pair(state, j, k)
+    j, k, col = kernel._lookup_pair(state, j, k, positive=True)
     _, *terms = kernel._pair_terms(state, j, k, *kernel._link_block_terms(state), np.array([i]))
     mean, sd = _normal_link_moments(float(state.edges[col]), *terms)
     return float(mean[0]), float(sd)
@@ -1079,9 +1052,13 @@ def link_conditional_normal_coeffs(state: ChainState, data: Dataset, i: int, j: 
 def gibbs_sweep(state: ChainState, data: Dataset, prior: PriorConfig,
                 config: MCMCConfig, rng) -> ChainState:
     """One systematic scan over links, anchors, edges, c0 and s0 in place;
-    stores the log posterior of the new state in ``state.log_posterior``."""
-    kernel = _SweepKernel(get_family(state.family), data, prior, config)
-    _ensure_steps(state, config)
+    stores the log posterior of the new state in ``state.log_posterior``.
+    A state outside the prior's support raises ``DomainError`` before any draw."""
+    fam = get_family(state.family)
+    kernel = _SweepKernel(fam, data, prior, config)
+    if not math.isfinite(prior.log_prior(fam, state.s0, state.c0, state.edges)):
+        raise DomainError("gibbs_sweep requires a state inside the prior's support")
+    _ensure_steps(state)
     kernel.sweep(state, rng)
     state.log_posterior = kernel.log_posterior(state)
     return state
@@ -1100,8 +1077,8 @@ def log_posterior(state: ChainState, data: Dataset, prior: PriorConfig) -> float
 # Chain orchestration
 # ---------------------------------------------------------------------------
 
-def initial_state(family, data: Dataset, prior: PriorConfig, config: MCMCConfig,
-                  chain_index: int, rng) -> ChainState:
+def initial_state(family, data: Dataset, prior: PriorConfig, chain_index: int,
+                  rng) -> ChainState:
     """Overdispersed chain start: prior-mean parameters (jittered for chains
     past the first) with latents drawn from the generative construction."""
     fam = get_family(family)
@@ -1124,7 +1101,7 @@ def initial_state(family, data: Dataset, prior: PriorConfig, config: MCMCConfig,
     edges = np.full(p * (p - 1) // 2, float(edge0))
     latents = draw_latents(fam, s0, c0, edges, n, rng)
     return ChainState(family=fam.kind, s0=float(s0), c0=float(c0), edges=edges, w=latents.w,
-                      links=latents.links, step_sizes=_default_steps(config, p))
+                      links=latents.links, step_sizes=_default_steps(p))
 
 
 def _adapt_block_steps(state: ChainState, window_start: dict, round_index: int,
@@ -1224,7 +1201,7 @@ def _run_chain(run: _ChainRun, m: int) -> tuple[dict, str]:
     rng = np.random.default_rng(run.seeds[m])
     t = 0
     try:
-        state = initial_state(kernel.fam, kernel.data, kernel.prior, config, m, rng)
+        state = initial_state(kernel.fam, kernel.data, kernel.prior, m, rng)
         window_start: dict = {}
         adapt_round = 0
         keep_idx = 0

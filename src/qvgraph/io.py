@@ -19,7 +19,6 @@ from .inference import (
     NormalS0Prior,
     PosteriorSamples,
     PriorConfig,
-    StepSizes,
 )
 from .model import Dataset, node_pairs
 
@@ -375,13 +374,7 @@ class RunConfig:
     thinning: int = MCMCConfig.thinning
     chains: int = MCMCConfig.chains
     seed: int = MCMCConfig.seed
-    step_s0: float = StepSizes.s0
-    step_c0: float = StepSizes.c0
-    step_edge: float = StepSizes.edge
-    step_link: float = StepSizes.link
-    enum_tail_tol: float = MCMCConfig.enum_tail_tol
     adapt_window: int = MCMCConfig.adapt_window
-    edge_moves: int = MCMCConfig.edge_moves
     keep_latents: bool = MCMCConfig.keep_latents
     # preprocessing
     standardize_plus3: bool = False
@@ -452,10 +445,7 @@ class RunConfig:
             thinning=self.thinning,
             chains=self.chains,
             seed=self.seed,
-            step_sizes=StepSizes(self.step_s0, self.step_c0, self.step_edge, self.step_link),
-            enum_tail_tol=self.enum_tail_tol,
             adapt_window=self.adapt_window,
-            edge_moves=self.edge_moves,
             keep_latents=self.keep_latents,
         )
 

@@ -381,7 +381,7 @@ _INTEGRATION_BOUNDS = {
 }
 
 
-def density_normalization_check(family, s, c, w=None) -> list[OracleReport]:
+def density_normalization_check(family, s, c) -> list[OracleReport]:
     """Numerically integrate the level density and one link density to 1.
 
     Continuous densities are integrated by adaptive quadrature (tolerance
@@ -408,8 +408,6 @@ def density_normalization_check(family, s, c, w=None) -> list[OracleReport]:
         1.0, value, 1e-6))
 
     w_at = mean if fam.in_mean_space(np.asarray(mean)) else 0.5
-    if w is not None:
-        w_at = w
     c_link = round(c) if fam.integer_intensity else c
     if fam.discrete_links:
         total = 0.0

@@ -157,6 +157,12 @@ class TestFitFlow:
         assert run(["fit", "--family", "normal", "--out", workdir / "x"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_removed_sampler_setting_fails_cleanly(self, workdir, capsys):
+        assert run(["fit", "--family", "normal", "--out", workdir / "x",
+                    "--set", "edge_moves=2"]) == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: --set: unknown configuration key 'edge_moves'")
+
 
     def test_short_fit_finishes_without_a_psrf(self, workdir, capsys):
         data_csv = workdir / "data.csv"

@@ -14,7 +14,6 @@ from qvgraph.inference import (
     MCMCConfig,
     NormalS0Prior,
     PriorConfig,
-    StepSizes,
     UniformOnC0S0Prior,
     gibbs_sweep,
     initial_state,
@@ -37,6 +36,11 @@ from qvgraph.verify import scipy_link_logpdf, scipy_log_joint
 from conftest import ks_statistic, ks_threshold, permute_pairs
 
 INFERENCE_KINDS = [k for k in FamilyKind if k is not FamilyKind.GSST]
+
+
+def schedule_rounds(kind):
+    """Rounds of edge moves the family's schedule makes on each pair per sweep."""
+    return inference._SCHEDULES[kind][2].count("_update_edge")
 
 SMALL = {
     FamilyKind.NORMAL: dict(s0=1.0, c0=2.0, edges=[[0.0, 1.5, 0.7], [1.5, 0.0, 2.2], [0.7, 2.2, 0.0]]),
@@ -159,8 +163,7 @@ class TestInitialState:
         prior = PriorConfig(s0_prior=form, **self.PRIOR)
         data = Dataset(y=np.full((4, 3), 0.5))
         for (chain, seed), start in expected.items():
-            state = initial_state(family, data, prior, MCMCConfig(), chain,
-                                  np.random.default_rng(seed))
+            state = initial_state(family, data, prior, chain, np.random.default_rng(seed))
             assert (state.s0, state.c0, float(state.edges[0])) == start
             assert np.all(state.edges == state.edges[0])
             assert state.w.shape == (4,) and state.links.shape == (4, 3)
@@ -174,8 +177,6 @@ class TestMCMCConfig:
             MCMCConfig(thinning=0)
         with pytest.raises(DomainError):
             MCMCConfig(chains=0)
-        with pytest.raises(DomainError):
-            MCMCConfig(step_sizes=StepSizes(s0=0.0))
 
     def test_retained_count(self):
         cfg = MCMCConfig(iterations=10_000, burn_in=2_000, thinning=10)
@@ -185,13 +186,6 @@ class TestMCMCConfig:
         with pytest.raises(DomainError, match="retain no draws"):
             MCMCConfig(iterations=10, burn_in=5, thinning=10)
         assert MCMCConfig(iterations=10, burn_in=5, thinning=5).retained_per_chain == 1
-
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, 1.0, 1.5])
-    def test_enum_tail_tol_outside_the_unit_interval_rejected(self, tol):
-        # construction only: a fit at such a value would double its grid to the cap
-        with pytest.raises(DomainError, match="enum_tail_tol"):
-            MCMCConfig(enum_tail_tol=tol)
-        assert MCMCConfig(enum_tail_tol=0.5).enum_tail_tol == 0.5
 
 
 class TestChainStateLayout:
@@ -437,10 +431,9 @@ class TestRefreshSupportCheck:
     def test_link_draw_outside_the_support_is_rejected(self, value):
         kind = FamilyKind.INVERSE_GAMMA
         _, data, state = make_state(kind, n=6)
-        config = MCMCConfig()
         kernel = inference._SweepKernel(get_family(kind), data, PriorConfig.default_for(kind),
-                                        config)
-        inference._ensure_steps(state, config)
+                                        MCMCConfig())
+        inference._ensure_steps(state)
         s_star, c_star = node_levels(state)
         terms = kernel._edge_terms(state, s_star, c_star)
         before = copy.deepcopy((state.edges, state.links, state.w, state.s0, state.c0,
@@ -561,9 +554,9 @@ class TestAttemptBookkeeping:
     def test_each_block_counts_every_attempt(self, kind, monkeypatch):
         params, data, _ = make_state(kind, n=6)
         prior = PriorConfig.default_for(kind)
-        config = MCMCConfig(edge_moves=2)
+        config = MCMCConfig()
         fam = get_family(kind)
-        state = initial_state(kind, data, prior, config, 0, np.random.default_rng(3))
+        state = initial_state(kind, data, prior, 0, np.random.default_rng(3))
         if fam.integer_intensity:
             # from intensity 1 the +-1 refresh can propose 0, which is
             # rejected before any link is drawn
@@ -576,7 +569,7 @@ class TestAttemptBookkeeping:
         rng = np.random.default_rng(8)
         for _ in range(sweeps):
             gibbs_sweep(state, data, prior, config, rng)
-        per_pair = sweeps * config.edge_moves
+        per_pair = sweeps * schedule_rounds(kind)
         expected = {"c0": sweeps, "s0": sweeps}
         for j, k in node_pairs(3):
             label = f"{j + 1}_{k + 1}"
@@ -605,14 +598,16 @@ class TestEdgeTermsCache:
     def test_stored_sums_equal_a_recomputation(self, kind):
         params, data, state = make_state(kind, n=20)
         prior = PriorConfig.default_for(kind)
-        config = MCMCConfig(edge_moves=2)
-        kernel = _CheckingKernel(get_family(kind), data, prior, config)
-        inference._ensure_steps(state, config)
+        kernel = _CheckingKernel(get_family(kind), data, prior, MCMCConfig())
+        rounds = 2  # the schedule's first two rounds
+        kernel._edge_moves = kernel._edge_moves[: len(kernel._edge_moves) * rounds
+                                                // schedule_rounds(kind)]
+        inference._ensure_steps(state)
         rng = np.random.default_rng(4)
         for _ in range(4):
             kernel.sweep(state, rng)
         continuous = not get_family(kind).discrete_links
-        assert kernel.checked == 4 * len(kernel.pairs) * config.edge_moves * (2 + continuous)
+        assert kernel.checked == 4 * len(kernel.pairs) * rounds * (2 + continuous)
         assert kernel.forced >= 1
         assert accepted_moves(state, "scale" if continuous else "edge") >= 1
 
@@ -641,9 +636,8 @@ class TestIntensityOnlyMoves:
     def setup_terms(self, kind):
         params, data, state = make_state(kind, n=20)
         prior = PriorConfig.default_for(kind)
-        config = MCMCConfig()
-        kernel = inference._SweepKernel(get_family(kind), data, prior, config)
-        inference._ensure_steps(state, config)
+        kernel = inference._SweepKernel(get_family(kind), data, prior, MCMCConfig())
+        inference._ensure_steps(state)
         s_star, c_star = node_levels(state)
         return data, prior, state, kernel, s_star, c_star, kernel._edge_terms(state, s_star, c_star)
 
@@ -804,11 +798,16 @@ class TestLinkConditional:
         with np.errstate(divide="ignore"), pytest.raises(DomainError, match="replicate 0"):
             sample_link_conditional(state, data, 0, 0, 1, rng)
 
-    def test_pmf_requires_positive_intensity(self):
-        params, data, state = make_state(FamilyKind.GAMMA)
-        state.edges[2] = 0.0
-        with pytest.raises(DomainError, match="positive edge intensity"):
-            link_conditional_pmf(state, data, 0, 2, 1)
+    def test_pmf_requires_positive_intensity(self, rng):
+        # every single-replicate link conditional, over one parameter list
+        for kind, call in [(FamilyKind.GAMMA, sample_link_conditional),
+                           (FamilyKind.GAMMA, link_conditional_pmf),
+                           (FamilyKind.NORMAL, link_conditional_normal_coeffs)]:
+            params, data, state = make_state(kind)
+            state.edges[2] = 0.0
+            args = (rng,) if call is sample_link_conditional else ()
+            with pytest.raises(DomainError, match="positive edge intensity"):
+                call(state, data, 0, 2, 1, *args)
 
     def test_node_order_does_not_matter(self):
         params, data, state = make_state(FamilyKind.NORMAL)
@@ -865,8 +864,7 @@ def test_recurrence_grid_matches_direct_evaluation(kind):
         + fam.log_h_step(a_k + mode, ck)
         + fam.log_b_step(mode, c_jk)
     )
-    values, g, _ = inference._enum_link_grid(fam, a_j, a_k, cj, ck, c_jk, t_sum, 1e-12,
-                                             1_000_000)
+    values, g, _ = inference._enum_link_grid(fam, a_j, a_k, cj, ck, c_jk, t_sum, 1_000_000)
     assert values.size > 16 * 2 ** 5  # the first grid doubled several times
     wide = np.arange(0.0, 2.0 * values.size)
     ref = _direct_logmass(fam, wide, a_j, a_k, cj, ck, c_jk, t_sum)
@@ -1030,6 +1028,20 @@ class TestGibbsSweep:
             log_posterior(state, data, prior), abs=1e-8
         )
 
+    @pytest.mark.parametrize("kind", INFERENCE_KINDS)
+    def test_state_outside_the_prior_support_rejected_before_any_draw(self, kind):
+        params, data, state = make_state(kind, n=5)
+        state.edges[1] = 0.0
+        before = copy.deepcopy(state)
+        rng = np.random.default_rng(6)
+        stream = copy.deepcopy(rng.bit_generator.state)
+        with pytest.raises(DomainError, match="prior's support"):
+            gibbs_sweep(state, data, PriorConfig.default_for(kind), MCMCConfig(), rng)
+        assert rng.bit_generator.state == stream
+        for name in ("s0", "c0", "edges", "w", "links", "log_posterior"):
+            assert np.array_equal(getattr(state, name), getattr(before, name)), name
+        assert (state.accept, state.step_sizes) == (before.accept, before.step_sizes)
+
     def test_long_run_stays_bounded(self, rng):
         params, data, state = make_state(FamilyKind.NORMAL, n=20)
         prior = PriorConfig.default_for(FamilyKind.NORMAL)
@@ -1163,7 +1175,7 @@ class TestSeededStream:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(inference._SweepKernel, name, wrapper)
         assert self.fit(kind, **short).meta["state_digest"] == unpatched
-        pairs, moves = 3 * 8, 3 * 8 * MCMCConfig.edge_moves
+        pairs, moves = 3 * 8, 3 * 8 * schedule_rounds(kind)
         assert {name: calls.get(name, 0) for name in blocks} == {
             "_update_links_pair": pairs, LINK_DRAW[kind]: pairs, "_update_anchors": 8,
             "_update_edge": moves, "_update_edge_refresh": moves, "_update_c0": 8,

@@ -289,13 +289,12 @@ class TestRunConfig:
         with pytest.raises(DataFormatError):
             config.set_option("keep_latents", "maybe")
 
-    @pytest.mark.parametrize("value", ["0", "-1", "nan", "1.5"])
-    def test_enum_tail_tol_outside_the_unit_interval_rejected(self, value):
-        # construction only: a fit at such a value would double its grid to the cap
-        config = RunConfig()
-        config.set_option("enum_tail_tol", value)
-        with pytest.raises(DomainError, match="enum_tail_tol"):
-            config.mcmc_config()
+    @pytest.mark.parametrize("key", ["step_s0", "step_c0", "step_edge", "step_link",
+                                     "enum_tail_tol", "edge_moves"])
+    def test_removed_sampler_setting_is_an_unknown_key(self, key):
+        # the sampler's moves, step sizes and tail tolerance are fixed in inference
+        with pytest.raises(DataFormatError, match="unknown configuration key"):
+            RunConfig().set_item(f"{key} = 2", "--set")
 
     def test_hash_changes_with_any_field(self):
         base = RunConfig()

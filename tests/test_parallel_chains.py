@@ -88,10 +88,10 @@ class Injected(RuntimeError):
 def failing_initial_state(failing, make_error=Injected):
     original = inference.initial_state
 
-    def initial_state(family, data, prior, config, chain_index, rng):
+    def initial_state(family, data, prior, chain_index, rng):
         if chain_index in failing:
             raise make_error(f"no start for chain {chain_index}")
-        return original(family, data, prior, config, chain_index, rng)
+        return original(family, data, prior, chain_index, rng)
 
     return initial_state
 
@@ -126,10 +126,10 @@ def test_unpicklable_cause_is_dropped(monkeypatch):
 def test_dead_worker_fails_its_chain(monkeypatch):
     original = inference.initial_state
 
-    def killed(family, data, prior, config, chain_index, rng):
+    def killed(family, data, prior, chain_index, rng):
         if chain_index == 1:
             os.kill(os.getpid(), signal.SIGKILL)
-        return original(family, data, prior, config, chain_index, rng)
+        return original(family, data, prior, chain_index, rng)
 
     monkeypatch.setattr(inference, "initial_state", killed)
     raised = []
