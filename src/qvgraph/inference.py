@@ -23,7 +23,8 @@ cumulative sum of the exact log-ratios of successive masses (the families'
 ``log_h_step``/``log_b_step``), so no log-gamma is evaluated.  Binomial links
 use the whole support 0..c_jk; Poisson and negative-binomial links start from
 a short grid that doubles until a geometric bound on the cut-off tail falls
-below ``_ENUM_TAIL_TOL`` = 1e-12, up to ``MCMCConfig.max_enum_states``.
+below ``_ENUM_TAIL_TOL`` = 1e-12.  No grid, bounded or not, may hold more
+than ``_ENUM_MAX_STATES`` = 1,000,000 values.
 The grid is stored values-major, (values, replicates) with the replicates
 contiguous, and callers see its (replicates, values) transpose.  The
 log-mass recurrence and the sampler's CDF are accumulated by one add of a
@@ -293,7 +294,7 @@ class PriorConfig:
 
 @dataclass(frozen=True)
 class MCMCConfig:
-    """Chain controls of ``run_chains``.
+    """Chain controls of ``run_chains``, the only function that takes one.
 
     ``workers`` is the number of processes the chains run in: ``None`` takes
     one per chain up to the usable CPUs, ``1`` runs every chain in the
@@ -307,7 +308,6 @@ class MCMCConfig:
     chains: int = 2
     seed: int = 0
     adapt_window: int = 50
-    max_enum_states: int = 1_000_000
     keep_latents: bool = True
     workers: int | None = None
 
@@ -320,6 +320,8 @@ class MCMCConfig:
             raise DomainError("thinning must be >= 1")
         if self.chains < 1:
             raise DomainError("at least one chain is required")
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
         if self.adapt_window < 1:
             raise DomainError("adapt_window must be >= 1")
         if self.workers is not None and self.workers < 1:
@@ -340,7 +342,7 @@ class ChainState:
     ``edges`` has shape (P,) and ``links`` (n, P), both in ``node_pairs(p)``
     order, and ``w`` (n,).  ``accept`` maps block names to cumulative
     [accepted, attempted] counts; ``step_sizes`` holds the current per-block
-    random-walk scales.
+    random-walk scales, ``_default_steps(p)`` when none are given.
     """
 
     family: FamilyKind
@@ -361,6 +363,8 @@ class ChainState:
         if self.w.ndim != 1:
             raise DomainError(f"w must have shape (n,), got {self.w.shape}")
         self.links = _expect_shape("links", self.links, (self.w.size, edges.size))
+        if not self.step_sizes:
+            self.step_sizes = _default_steps(self.p)
 
     @property
     def p(self) -> int:
@@ -398,6 +402,16 @@ def _block_names(j: int, k: int) -> _BlockNames:
     return _BlockNames(f"link_{tag}", f"edge_{tag}", f"scale_{tag}", f"refresh_{tag}")
 
 
+def _default_steps(p: int) -> dict:
+    """Initial random-walk scales by block, adapted during burn-in: 0.5, and
+    0.8 for the inverse-gamma link walk."""
+    steps = {"s0": 0.5, "c0": 0.5}
+    for j, k in node_pairs(p):
+        names = _block_names(j, k)
+        steps.update({names.edge: 0.5, names.link: 0.8, names.scale: 0.5, names.refresh: 0.5})
+    return steps
+
+
 # ---------------------------------------------------------------------------
 # Full conditionals for the top-level parameters
 # ---------------------------------------------------------------------------
@@ -406,7 +420,7 @@ def log_full_conditional_s0(state: ChainState, data: Dataset, prior: PriorConfig
                             s0_candidate: float) -> float:
     """Log full conditional of s0 (up to an additive constant); -inf outside
     the admissible region."""
-    kernel = _SweepKernel(get_family(state.family), data, prior, MCMCConfig())
+    kernel = _SweepKernel(get_family(state.family), data, prior)
     s_star, theta_w, c_star = kernel._link_block_terms(state)
     return kernel._log_target_s0(float(s0_candidate), state.c0, c_star, s_star - state.s0,
                                  float(np.sum(theta_w)))
@@ -416,7 +430,7 @@ def log_full_conditional_c0(state: ChainState, data: Dataset, prior: PriorConfig
                             c0_candidate: float) -> float:
     """Log full conditional of c0; -inf for nonpositive candidates (and for
     candidates not exceeding s0 in the beta family)."""
-    kernel = _SweepKernel(get_family(state.family), data, prior, MCMCConfig())
+    kernel = _SweepKernel(get_family(state.family), data, prior)
     s_star, _, c_star = kernel._link_block_terms(state)
     return kernel._log_target_c0(float(c0_candidate), state.s0,
                                  kernel._edge_terms(state, s_star, c_star), c_star - state.c0)
@@ -427,7 +441,7 @@ def log_full_conditional_cjk(state: ChainState, data: Dataset, prior: PriorConfi
     """Log full conditional of the edge intensity between nodes j and k, up to
     an additive constant: the sampler's log-ratio of the candidate against the
     current intensity, links held fixed; -inf outside the support."""
-    kernel = _SweepKernel(get_family(state.family), data, prior, MCMCConfig())
+    kernel = _SweepKernel(get_family(state.family), data, prior)
     j, k, _ = kernel._lookup_pair(state, j, k)
     s_star, _, c_star = kernel._link_block_terms(state)
     terms = kernel._edge_terms(state, s_star, c_star)
@@ -504,9 +518,11 @@ def _enum_link_logmass(fam, values, a_j, a_k, cj, ck, c_jk, t_sum, g0=0.0):
 _ENUM_START = 16
 # Relative size of the cut-off tail below which an unbounded grid stops doubling.
 _ENUM_TAIL_TOL = 1e-12
+# Most values a link grid may hold, bounded or not.
+_ENUM_MAX_STATES = 1_000_000
 
 
-def _enum_link_grid(fam, a_j, a_k, cj, ck, c_jk, t_sum, cap):
+def _enum_link_grid(fam, a_j, a_k, cj, ck, c_jk, t_sum):
     """Adaptive grid of an unbounded discrete link conditional.
 
     The grid is anchored at 0, so no lower tail is ever cut, and starts at
@@ -531,9 +547,9 @@ def _enum_link_grid(fam, a_j, a_k, cj, ck, c_jk, t_sum, cap):
         if np.all(decreasing) and np.all(bound < _ENUM_TAIL_TOL):
             return values, g.T, g_max
         m = 2 * (values.shape[0] - 1)
-        if m > cap:
+        if m > _ENUM_MAX_STATES:
             raise EnumerationOverflowError(
-                f"link enumeration exceeded {cap} states before reaching the tail"
+                f"link enumeration exceeded {_ENUM_MAX_STATES} states before reaching the tail"
             )
         more = np.arange(values[-1], m + 1.0)
         g_more = _enum_link_logmass(fam, more, a_j, a_k, cj, ck, c_jk, t_sum, last).T
@@ -586,7 +602,7 @@ class _SweepKernel:
     """One-dataset sampler machinery shared by all chains, with the data
     summaries theta(y) and M(y) that every sweep reuses."""
 
-    def __init__(self, fam: Family, data: Dataset, prior: PriorConfig, config: MCMCConfig):
+    def __init__(self, fam: Family, data: Dataset, prior: PriorConfig):
         _, links, moves, step = _SCHEDULES[fam.kind]
         if links is None:  # gsst
             raise DomainError("posterior inference is not available for the gsst family")
@@ -597,7 +613,6 @@ class _SweepKernel:
         self.fam = fam
         self.data = data
         self.prior = prior
-        self.config = config
         self.n, self.p = data.y.shape
         self.theta_y = np.asarray(fam.theta(data.y), dtype=float)
         self.theta_y_col = list(self.theta_y.T)  # the strided views theta_y[:, node]
@@ -662,14 +677,14 @@ class _SweepKernel:
             )
         if fam.kind is FamilyKind.BETA:
             count = int(round(c_jk))
-            if count > self.config.max_enum_states:
+            if count > _ENUM_MAX_STATES:
                 raise EnumerationOverflowError(
                     f"binomial link enumeration over {count + 1} states exceeds the cap"
                 )
             values = np.arange(0.0, count + 1.0)
             g = _enum_link_logmass(fam, values, a_j, a_k, cj, ck, c_jk, t_sum)
             return values, g, g.max(axis=1)
-        return _enum_link_grid(fam, a_j, a_k, cj, ck, c_jk, t_sum, self.config.max_enum_states)
+        return _enum_link_grid(fam, a_j, a_k, cj, ck, c_jk, t_sum)
 
     def _update_links_pair(self, state: ChainState, j, k, rng, s_star, theta_w, c_node,
                            sel=slice(None)):
@@ -962,33 +977,16 @@ class _SweepKernel:
 # Public single-site operations
 # ---------------------------------------------------------------------------
 
-def _default_steps(p: int) -> dict:
-    """Initial random-walk scales by block, adapted during burn-in: 0.5, and
-    0.8 for the inverse-gamma link walk."""
-    steps = {"s0": 0.5, "c0": 0.5}
-    for j, k in node_pairs(p):
-        names = _block_names(j, k)
-        steps.update({names.edge: 0.5, names.link: 0.8, names.scale: 0.5, names.refresh: 0.5})
-    return steps
-
-
-def _ensure_steps(state: ChainState):
-    if not state.step_sizes:
-        state.step_sizes = _default_steps(state.p)
-
-
 def sample_link_conditional(state: ChainState, data: Dataset, i: int, j: int, k: int,
-                            rng, config: MCMCConfig | None = None) -> float:
-    """Redraw the link value of replicate i on edge (j, k).
+                            rng) -> float:
+    """Redraw the link value of replicate i on edge (j, k) by the sampler's link draw.
 
-    Exact for normal (completed square) and binomial links, adaptive
-    enumeration for Poisson/negative-binomial links, random-walk Metropolis
-    on the log scale for gamma links.
+    Exact for normal (completed square) links, by enumeration for binomial,
+    Poisson and negative-binomial links; inverse-gamma links take an
+    independence step from the link prior and then a log-scale random walk.
     """
-    config = config or MCMCConfig()
-    kernel = _SweepKernel(get_family(state.family), data, PriorConfig.default_for(state.family), config)
+    kernel = _SweepKernel(get_family(state.family), data, PriorConfig.default_for(state.family))
     j, k, col = kernel._lookup_pair(state, j, k, positive=True)
-    _ensure_steps(state)
     kernel._update_links_pair(state, j, k, rng, *kernel._link_block_terms(state),
                               sel=np.array([i]))
     return float(state.links[i, col])
@@ -1014,18 +1012,16 @@ def sample_w_conditional(state: ChainState, data: Dataset, i: int, rng) -> float
     return value
 
 
-def link_conditional_pmf(state: ChainState, data: Dataset, i: int, j: int, k: int,
-                         config: MCMCConfig | None = None):
+def link_conditional_pmf(state: ChainState, data: Dataset, i: int, j: int, k: int):
     """Normalized enumeration mass of a discrete link conditional.
 
     Returns (values, probabilities); available for the Poisson, binomial and
     negative-binomial link families.
     """
-    config = config or MCMCConfig()
     fam = get_family(state.family)
     if not fam.discrete_links:
         raise DomainError(f"{fam.kind.value}: link conditional is not discrete")
-    kernel = _SweepKernel(fam, data, PriorConfig.default_for(fam), config)
+    kernel = _SweepKernel(fam, data, PriorConfig.default_for(fam))
     j, k, col = kernel._lookup_pair(state, j, k, positive=True)
     c_jk = float(state.edges[col])
     sel = np.array([i])
@@ -1042,23 +1038,25 @@ def link_conditional_normal_coeffs(state: ChainState, data: Dataset, i: int, j: 
     fam = get_family(state.family)
     if fam.kind is not FamilyKind.NORMAL:
         raise DomainError("completed-square coefficients exist for the normal family only")
-    kernel = _SweepKernel(fam, data, PriorConfig.default_for(fam), MCMCConfig())
+    kernel = _SweepKernel(fam, data, PriorConfig.default_for(fam))
     j, k, col = kernel._lookup_pair(state, j, k, positive=True)
     _, *terms = kernel._pair_terms(state, j, k, *kernel._link_block_terms(state), np.array([i]))
     mean, sd = _normal_link_moments(float(state.edges[col]), *terms)
     return float(mean[0]), float(sd)
 
 
-def gibbs_sweep(state: ChainState, data: Dataset, prior: PriorConfig,
-                config: MCMCConfig, rng) -> ChainState:
+def gibbs_sweep(state: ChainState, data: Dataset, prior: PriorConfig, rng) -> ChainState:
     """One systematic scan over links, anchors, edges, c0 and s0 in place;
     stores the log posterior of the new state in ``state.log_posterior``.
-    A state outside the prior's support raises ``DomainError`` before any draw."""
+    A state outside the prior's support, or whose latents lie outside theirs,
+    raises ``DomainError`` before any draw."""
     fam = get_family(state.family)
-    kernel = _SweepKernel(fam, data, prior, config)
+    kernel = _SweepKernel(fam, data, prior)
     if not math.isfinite(prior.log_prior(fam, state.s0, state.c0, state.edges)):
         raise DomainError("gibbs_sweep requires a state inside the prior's support")
-    _ensure_steps(state)
+    if not math.isfinite(kernel.log_posterior(state)):  # the prior is finite: a latent is out
+        raise DomainError("gibbs_sweep requires latents inside their support, given a "
+                          "state inside the prior's support")
     kernel.sweep(state, rng)
     state.log_posterior = kernel.log_posterior(state)
     return state
@@ -1101,7 +1099,7 @@ def initial_state(family, data: Dataset, prior: PriorConfig, chain_index: int,
     edges = np.full(p * (p - 1) // 2, float(edge0))
     latents = draw_latents(fam, s0, c0, edges, n, rng)
     return ChainState(family=fam.kind, s0=float(s0), c0=float(c0), edges=edges, w=latents.w,
-                      links=latents.links, step_sizes=_default_steps(p))
+                      links=latents.links)
 
 
 def _adapt_block_steps(state: ChainState, window_start: dict, round_index: int,
@@ -1174,10 +1172,11 @@ class PosteriorSamples:
 
 @dataclass(frozen=True)
 class _ChainRun:
-    """What every chain of one ``run_chains`` call shares: the kernel, the
-    per-chain seeds and the samples, of whose arrays chain m owns row m."""
+    """What the chains of one ``run_chains`` call share: the kernel, the chain
+    controls, the per-chain seeds and the samples, whose row m chain m owns."""
 
     kernel: _SweepKernel
+    config: MCMCConfig
     seeds: list
     samples: PosteriorSamples
 
@@ -1196,8 +1195,7 @@ def _run_chain(run: _ChainRun, m: int) -> tuple[dict, str]:
     Returns the chain's stationary acceptance rates and the digest of its
     final state; a failure raises ``ChainError`` with the chain and sweep.
     """
-    kernel, out = run.kernel, run.samples
-    config = kernel.config
+    kernel, config, out = run.kernel, run.config, run.samples
     rng = np.random.default_rng(run.seeds[m])
     t = 0
     try:
@@ -1332,7 +1330,7 @@ def run_chains(data: Dataset, family, prior: PriorConfig, config: MCMCConfig) ->
     """
     fam = get_family(family)
     data.validate_support(fam)
-    kernel = _SweepKernel(fam, data, prior, config)  # checks the prior's s0 form
+    kernel = _SweepKernel(fam, data, prior)  # checks the prior's s0 form
     n, p = data.y.shape
     pairs = kernel.pairs
     rows = (config.chains, config.retained_per_chain)
@@ -1349,7 +1347,7 @@ def run_chains(data: Dataset, family, prior: PriorConfig, config: MCMCConfig) ->
         meta={},
     )
     seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
-    results = _run_all(_ChainRun(kernel, seeds, samples), _worker_count(config))
+    results = _run_all(_ChainRun(kernel, config, seeds, samples), _worker_count(config))
     samples.meta = {
         "iterations": config.iterations,
         "burn_in": config.burn_in,

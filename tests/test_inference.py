@@ -301,7 +301,7 @@ class TestEdgeMoveRatios:
     def setup_move(self, kind):
         params, data, state = make_state(kind)
         prior = PriorConfig.default_for(kind)
-        kernel = inference._SweepKernel(get_family(kind), data, prior, MCMCConfig())
+        kernel = inference._SweepKernel(get_family(kind), data, prior)
         s_star, c_star = node_levels(state)
         return data, state, prior, kernel, s_star, c_star
 
@@ -431,9 +431,7 @@ class TestRefreshSupportCheck:
     def test_link_draw_outside_the_support_is_rejected(self, value):
         kind = FamilyKind.INVERSE_GAMMA
         _, data, state = make_state(kind, n=6)
-        kernel = inference._SweepKernel(get_family(kind), data, PriorConfig.default_for(kind),
-                                        MCMCConfig())
-        inference._ensure_steps(state)
+        kernel = inference._SweepKernel(get_family(kind), data, PriorConfig.default_for(kind))
         s_star, c_star = node_levels(state)
         terms = kernel._edge_terms(state, s_star, c_star)
         before = copy.deepcopy((state.edges, state.links, state.w, state.s0, state.c0,
@@ -554,7 +552,6 @@ class TestAttemptBookkeeping:
     def test_each_block_counts_every_attempt(self, kind, monkeypatch):
         params, data, _ = make_state(kind, n=6)
         prior = PriorConfig.default_for(kind)
-        config = MCMCConfig()
         fam = get_family(kind)
         state = initial_state(kind, data, prior, 0, np.random.default_rng(3))
         if fam.integer_intensity:
@@ -568,7 +565,7 @@ class TestAttemptBookkeeping:
         sweeps = 3
         rng = np.random.default_rng(8)
         for _ in range(sweeps):
-            gibbs_sweep(state, data, prior, config, rng)
+            gibbs_sweep(state, data, prior, rng)
         per_pair = sweeps * schedule_rounds(kind)
         expected = {"c0": sweeps, "s0": sweeps}
         for j, k in node_pairs(3):
@@ -598,11 +595,10 @@ class TestEdgeTermsCache:
     def test_stored_sums_equal_a_recomputation(self, kind):
         params, data, state = make_state(kind, n=20)
         prior = PriorConfig.default_for(kind)
-        kernel = _CheckingKernel(get_family(kind), data, prior, MCMCConfig())
+        kernel = _CheckingKernel(get_family(kind), data, prior)
         rounds = 2  # the schedule's first two rounds
         kernel._edge_moves = kernel._edge_moves[: len(kernel._edge_moves) * rounds
                                                 // schedule_rounds(kind)]
-        inference._ensure_steps(state)
         rng = np.random.default_rng(4)
         for _ in range(4):
             kernel.sweep(state, rng)
@@ -615,7 +611,7 @@ class TestEdgeTermsCache:
     def test_full_conditional_is_the_random_walk_ratio(self, kind):
         params, data, state = make_state(kind)
         prior = PriorConfig.default_for(kind)
-        kernel = inference._SweepKernel(get_family(kind), data, prior, MCMCConfig())
+        kernel = inference._SweepKernel(get_family(kind), data, prior)
         s_star, c_star = node_levels(state)
         terms = kernel._edge_terms(state, s_star, c_star)
         for e, (j, k) in enumerate(kernel.pairs):
@@ -636,8 +632,7 @@ class TestIntensityOnlyMoves:
     def setup_terms(self, kind):
         params, data, state = make_state(kind, n=20)
         prior = PriorConfig.default_for(kind)
-        kernel = inference._SweepKernel(get_family(kind), data, prior, MCMCConfig())
-        inference._ensure_steps(state)
+        kernel = inference._SweepKernel(get_family(kind), data, prior)
         s_star, c_star = node_levels(state)
         return data, prior, state, kernel, s_star, c_star, kernel._edge_terms(state, s_star, c_star)
 
@@ -830,11 +825,20 @@ class TestLinkConditional:
         with pytest.raises(IndexError, match="two distinct nodes"):
             run()
 
-    def test_tiny_enumeration_cap_overflows(self, rng):
-        params, data, state = make_state(FamilyKind.GAMMA, n=1)
-        state.w[0] = 1e6  # link mode far past the first grid
-        with pytest.raises(EnumerationOverflowError):
-            sample_link_conditional(state, data, 0, 0, 1, rng, MCMCConfig(max_enum_states=32))
+    @pytest.mark.parametrize("kind, message", [
+        (FamilyKind.GAMMA, "exceeded 32 states"),  # the adaptive grid
+        (FamilyKind.BETA, "over 201 states exceeds the cap"),  # the binomial grid 0..c_jk
+    ], ids=["gamma", "beta"])
+    def test_tiny_enumeration_cap_overflows(self, kind, message, rng, monkeypatch):
+        params, data, state = make_state(kind, n=1)
+        if kind is FamilyKind.GAMMA:
+            state.w[0] = 1e6  # link mode far past the first grid
+        else:
+            state.edges[0] = 200.0  # link mode near 100
+        monkeypatch.setattr(inference, "_ENUM_MAX_STATES", 32)
+        with pytest.raises(EnumerationOverflowError, match=message):
+            sample_link_conditional(state, data, 0, 0, 1, rng)
+        monkeypatch.undo()
         assert sample_link_conditional(state, data, 0, 0, 1, rng) > 32.0
 
 
@@ -864,7 +868,7 @@ def test_recurrence_grid_matches_direct_evaluation(kind):
         + fam.log_h_step(a_k + mode, ck)
         + fam.log_b_step(mode, c_jk)
     )
-    values, g, _ = inference._enum_link_grid(fam, a_j, a_k, cj, ck, c_jk, t_sum, 1_000_000)
+    values, g, _ = inference._enum_link_grid(fam, a_j, a_k, cj, ck, c_jk, t_sum)
     assert values.size > 16 * 2 ** 5  # the first grid doubled several times
     wide = np.arange(0.0, 2.0 * values.size)
     ref = _direct_logmass(fam, wide, a_j, a_k, cj, ck, c_jk, t_sum)
@@ -914,8 +918,7 @@ _BOTH_SUMS = [1, 40, inference._ROW_ADD_MIN_REPLICATES]
 @pytest.mark.parametrize("kind", [FamilyKind.GAMMA, FamilyKind.BETA, FamilyKind.INVERSE_BETA])
 def test_enumerated_grid_equals_row_major_cumsum(kind, rows):
     _, data, _ = make_state(kind)
-    kernel = inference._SweepKernel(get_family(kind), data, PriorConfig.default_for(kind),
-                                    MCMCConfig())
+    kernel = inference._SweepKernel(get_family(kind), data, PriorConfig.default_for(kind))
     c_jk, a_j, a_k, cj, ck, t_sum = _grid_inputs(kind, rows)
     sel = np.arange(rows) if rows > 1 else np.array([2])
     values, g, g_max = kernel._enumerate_links(0, 1, c_jk, a_j, a_k, cj, ck, t_sum, sel)
@@ -992,11 +995,26 @@ class TestAnchorConditional:
             sample_w_conditional(state, data, 0, rng)
 
 
+def zero_edge(state):
+    state.edges[1] = 0.0  # outside the edge prior's support
+
+
+def negative_link(state):
+    state.links[2, 1] = -1.0
+
+
+def nan_link(state):
+    state.links[2, 1] = math.nan
+
+
+def link_above_intensity(state):
+    state.links[2, 1] = state.edges[1] + 1.0
+
+
 class TestGibbsSweep:
     def test_zero_steps_freeze_parameters(self, rng):
         # integer-intensity moves are fixed +-1 proposals, so the freeze
         # assertion is stated for a continuous family
-        cfg = MCMCConfig(iterations=10, burn_in=1, thinning=1, seed=0)
         tiny = 1e-12
         params, data, state = make_state(FamilyKind.NORMAL, n=4)
         prior = PriorConfig.default_for(FamilyKind.NORMAL)
@@ -1010,7 +1028,7 @@ class TestGibbsSweep:
                 state.step_sizes[f"link_{j+1}_{k+1}"] = tiny
                 state.step_sizes[f"scale_{j+1}_{k+1}"] = tiny
                 state.step_sizes[f"refresh_{j+1}_{k+1}"] = tiny
-        gibbs_sweep(state, data, prior, cfg, rng)
+        gibbs_sweep(state, data, prior, rng)
         assert state.s0 == pytest.approx(before[0], abs=1e-6)
         assert state.c0 == pytest.approx(before[1], abs=1e-6)
         assert np.allclose(state.edges, before[2], atol=1e-6)
@@ -1020,35 +1038,40 @@ class TestGibbsSweep:
     def test_support_preserved_and_posterior_cached(self, kind, rng):
         params, data, state = make_state(kind, n=5)
         prior = PriorConfig.default_for(kind)
-        cfg = MCMCConfig(iterations=10, burn_in=1, thinning=1, seed=0)
         for _ in range(25):
-            gibbs_sweep(state, data, prior, cfg, rng)
+            gibbs_sweep(state, data, prior, rng)
             assert np.isfinite(state.log_posterior)
         assert state.log_posterior == pytest.approx(
             log_posterior(state, data, prior), abs=1e-8
         )
 
-    @pytest.mark.parametrize("kind", INFERENCE_KINDS)
-    def test_state_outside_the_prior_support_rejected_before_any_draw(self, kind):
+    @pytest.mark.parametrize("kind, corrupt", [
+        *(pytest.param(kind, zero_edge, id=kind.value) for kind in INFERENCE_KINDS),
+        pytest.param(FamilyKind.INVERSE_GAMMA, negative_link, id="inverse_gamma-negative_link"),
+        pytest.param(FamilyKind.NORMAL, nan_link, id="normal-nan_link"),
+        pytest.param(FamilyKind.BETA, link_above_intensity, id="beta-link_above_intensity"),
+    ])
+    def test_state_outside_the_prior_support_rejected_before_any_draw(self, kind, corrupt):
         params, data, state = make_state(kind, n=5)
-        state.edges[1] = 0.0
+        corrupt(state)
         before = copy.deepcopy(state)
         rng = np.random.default_rng(6)
         stream = copy.deepcopy(rng.bit_generator.state)
         with pytest.raises(DomainError, match="prior's support"):
-            gibbs_sweep(state, data, PriorConfig.default_for(kind), MCMCConfig(), rng)
+            gibbs_sweep(state, data, PriorConfig.default_for(kind), rng)
         assert rng.bit_generator.state == stream
         for name in ("s0", "c0", "edges", "w", "links", "log_posterior"):
-            assert np.array_equal(getattr(state, name), getattr(before, name)), name
+            # a NaN link left in place counts as unchanged
+            assert np.array_equal(getattr(state, name), getattr(before, name),
+                                  equal_nan=True), name
         assert (state.accept, state.step_sizes) == (before.accept, before.step_sizes)
 
     def test_long_run_stays_bounded(self, rng):
         params, data, state = make_state(FamilyKind.NORMAL, n=20)
         prior = PriorConfig.default_for(FamilyKind.NORMAL)
-        cfg = MCMCConfig(iterations=10, burn_in=1, thinning=1, seed=0)
         values = []
         for _ in range(1000):
-            gibbs_sweep(state, data, prior, cfg, rng)
+            gibbs_sweep(state, data, prior, rng)
             values.append(state.log_posterior)
         values = np.array(values)
         assert np.all(np.isfinite(values))

@@ -166,10 +166,12 @@ def test_worker_count():
     assert inference._worker_count(MCMCConfig(chains=3, workers=2)) == 2
 
 
-@pytest.mark.parametrize("field", [dict(workers=0), dict(workers=-1), dict(burn_in=-5)])
+@pytest.mark.parametrize("field", [dict(workers=0), dict(workers=-1), dict(burn_in=-5),
+                                   dict(seed=-1)])
 def test_invalid_config_rejected(field):
-    with pytest.raises(DomainError):
-        MCMCConfig(iterations=10, thinning=1, **field)
+    # each case is valid but for its one field, and fails on that field's check
+    with pytest.raises(DomainError, match=next(iter(field))):
+        MCMCConfig(**{"iterations": 10, "burn_in": 0, "thinning": 1, **field})
 
 
 def test_cli_rejects_negative_burn_in(tmp_path, capsys):
