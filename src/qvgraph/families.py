@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, GridConvergenceError
 
@@ -54,6 +54,29 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_2 = math.log(2.0)
+
+
+class _SpecialOnFirstUse:
+    """Stands for ``scipy.special`` until its first attribute is read.
+
+    Importing scipy.special takes about 0.2 s, half of a cold start, and only
+    a fit, the ``verify`` checks and gsst evaluate a log-gamma.  The first read
+    imports it and binds the module itself as ``special`` in every qvgraph
+    module that holds this stand-in, so each later ``special.gammaln`` is a
+    plain module attribute, also in the workers a fit forks after that.
+    """
+
+    def __getattr__(self, name):
+        from scipy import special
+
+        package = __name__.rpartition(".")[0] + "."
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith(package) and vars(module).get("special") is self:
+                module.special = special
+        return getattr(special, name)
+
+
+special = _SpecialOnFirstUse()
 
 
 class FamilyKind(str, Enum):

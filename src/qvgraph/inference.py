@@ -49,6 +49,11 @@ to the usable CPUs.  Each chain draws from its own ``SeedSequence.spawn``
 stream and writes its draws into output arrays in shared memory, so the
 result is bit-identical to running the chains one after another, which
 ``MCMCConfig(workers=1)`` does in the calling process.
+
+``import qvgraph`` loads no scipy module.  ``scipy.special`` is bound at the
+first log-gamma (``families.special``), and every ``PriorConfig`` evaluates
+one when it is built, so a fit loads it once, in the calling process, before
+``run_chains`` forks any worker; the workers inherit it.
 """
 
 from __future__ import annotations
@@ -63,14 +68,13 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     ChainError,
     DomainError,
     EnumerationOverflowError,
 )
-from .families import Family, FamilyKind, get_family
+from .families import Family, FamilyKind, get_family, special
 from .model import (
     Dataset,
     _as_rng,
@@ -1048,8 +1052,13 @@ def link_conditional_normal_coeffs(state: ChainState, data: Dataset, i: int, j: 
 def gibbs_sweep(state: ChainState, data: Dataset, prior: PriorConfig, rng) -> ChainState:
     """One systematic scan over links, anchors, edges, c0 and s0 in place;
     stores the log posterior of the new state in ``state.log_posterior``.
-    A state outside the prior's support, or whose latents lie outside theirs,
-    raises ``DomainError`` before any draw."""
+    A state outside the prior's support, whose latents lie outside theirs or
+    whose ``step_sizes`` lack a block of ``_default_steps(p)`` raises
+    ``DomainError`` before any draw."""
+    missing = sorted(_default_steps(state.p).keys() - state.step_sizes.keys())
+    if missing:
+        raise DomainError(f"gibbs_sweep requires a step size for every block; missing: "
+                          f"{', '.join(missing)}")
     fam = get_family(state.family)
     kernel = _SweepKernel(fam, data, prior)
     if not math.isfinite(prior.log_prior(fam, state.s0, state.c0, state.edges)):

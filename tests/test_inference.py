@@ -1066,6 +1066,19 @@ class TestGibbsSweep:
                                   equal_nan=True), name
         assert (state.accept, state.step_sizes) == (before.accept, before.step_sizes)
 
+    def test_state_without_every_step_size_rejected_before_any_draw(self):
+        params, data, state = make_state(FamilyKind.NORMAL, n=5)
+        state.step_sizes = {"s0": 0.1, "c0": 0.1, "edge_1_2": 0.1}
+        before = copy.deepcopy(state)
+        rng = np.random.default_rng(6)
+        stream = copy.deepcopy(rng.bit_generator.state)
+        with pytest.raises(DomainError, match="missing: edge_1_3, edge_2_3, link_1_2, "):
+            gibbs_sweep(state, data, PriorConfig.default_for(FamilyKind.NORMAL), rng)
+        assert rng.bit_generator.state == stream
+        for name in ("s0", "c0", "edges", "w", "links", "log_posterior"):
+            assert np.array_equal(getattr(state, name), getattr(before, name)), name
+        assert (state.accept, state.step_sizes) == (before.accept, before.step_sizes)
+
     def test_long_run_stays_bounded(self, rng):
         params, data, state = make_state(FamilyKind.NORMAL, n=20)
         prior = PriorConfig.default_for(FamilyKind.NORMAL)
