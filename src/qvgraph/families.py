@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -56,27 +55,15 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_2 = math.log(2.0)
 
 
-class _SpecialOnFirstUse:
-    """Stands for ``scipy.special`` until its first attribute is read.
+def gammaln(x):
+    """log |Gamma(x)|, elementwise.  Importing scipy.special takes about 0.2 s,
+    half of a cold start, so the first call imports it and rebinds this
+    module's ``gammaln`` to ``scipy.special.gammaln`` itself: every later
+    call, also in the workers a fit forks, is the ufunc."""
+    global gammaln
+    from scipy.special import gammaln
 
-    Importing scipy.special takes about 0.2 s, half of a cold start, and only
-    a fit, the ``verify`` checks and gsst evaluate a log-gamma.  The first read
-    imports it and binds the module itself as ``special`` in every qvgraph
-    module that holds this stand-in, so each later ``special.gammaln`` is a
-    plain module attribute, also in the workers a fit forks after that.
-    """
-
-    def __getattr__(self, name):
-        from scipy import special
-
-        package = __name__.rpartition(".")[0] + "."
-        for module_name, module in list(sys.modules.items()):
-            if module_name.startswith(package) and vars(module).get("special") is self:
-                module.special = special
-        return getattr(special, name)
-
-
-special = _SpecialOnFirstUse()
+    return gammaln(x)
 
 
 class FamilyKind(str, Enum):
@@ -246,7 +233,7 @@ def _open_unit(b):
     return np.clip(b, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
 
 
-# Scalar counterparts of np.log, special.gammaln and s**2 / (2c) for the
+# Scalar counterparts of np.log, gammaln and s**2 / (2c) for the
 # closed-form sums: -inf or nan where the array routines give them, no error.
 def _log(x) -> float:
     if x > 0.0:
@@ -258,7 +245,7 @@ def _lgamma(x) -> float:
     try:
         return math.lgamma(x)
     except (ValueError, OverflowError):  # a pole or overflow
-        return float(special.gammaln(x))
+        return float(gammaln(x))
 
 
 def _half_sq_over(sum_sq, c) -> float:
@@ -348,21 +335,21 @@ class GammaFamily(Family):
 
     def log_b(self, s, c):
         s = np.asarray(s, dtype=float)
-        return s * np.log(c) - special.gammaln(s + 1.0)
+        return s * np.log(c) - gammaln(s + 1.0)
 
     def log_h(self, s, c):
         s = np.asarray(s, dtype=float)
-        return s * np.log(c) - special.gammaln(s)
+        return s * np.log(c) - gammaln(s)
 
     def h_summary(self, s):
-        return float(s.sum()), float(special.gammaln(s).sum())
+        return float(s.sum()), float(gammaln(s).sum())
 
     def log_h_sum(self, summary, c) -> float:
         sum_s, sum_lgamma = summary
         return _log(c) * sum_s - sum_lgamma
 
     def b_summary(self, s):
-        return float(s.sum()), float(special.gammaln(s + 1.0).sum())
+        return float(s.sum()), float(gammaln(s + 1.0).sum())
 
     log_b_sum = log_h_sum  # log c * sum s - sum gammaln(s + 1), from b_summary
 
@@ -414,12 +401,12 @@ class InverseGammaFamily(Family):
 
     def log_b(self, s, c):
         s = np.asarray(s, dtype=float)
-        return (c - 1.0) * np.log(s) - special.gammaln(c)
+        return (c - 1.0) * np.log(s) - gammaln(c)
 
     def log_h(self, s, c):
         s = np.asarray(s, dtype=float)
         c = np.asarray(c, dtype=float)
-        return (c + 1.0) * np.log(s) - special.gammaln(c + 1.0)
+        return (c + 1.0) * np.log(s) - gammaln(c + 1.0)
 
     def h_summary(self, s):
         return s.shape[0], float(np.log(s).sum())
@@ -479,12 +466,12 @@ class BetaFamily(Family):
 
     def log_b(self, s, c):
         s = np.asarray(s, dtype=float)
-        return special.gammaln(c + 1.0) - special.gammaln(s + 1.0) - special.gammaln(c - s + 1.0)
+        return gammaln(c + 1.0) - gammaln(s + 1.0) - gammaln(c - s + 1.0)
 
     def log_h(self, s, c):
         s = np.asarray(s, dtype=float)
         c = np.asarray(c, dtype=float)
-        return special.gammaln(c) - special.gammaln(s) - special.gammaln(c - s)
+        return gammaln(c) - gammaln(s) - gammaln(c - s)
 
     def log_b_step(self, s, c):
         s = np.asarray(s, dtype=float)
@@ -540,12 +527,12 @@ class InverseBetaFamily(Family):
 
     def log_b(self, s, c):
         s = np.asarray(s, dtype=float)
-        return special.gammaln(c + s) - special.gammaln(s + 1.0) - special.gammaln(c)
+        return gammaln(c + s) - gammaln(s + 1.0) - gammaln(c)
 
     def log_h(self, s, c):
         s = np.asarray(s, dtype=float)
         c = np.asarray(c, dtype=float)
-        return special.gammaln(s + c + 1.0) - special.gammaln(s) - special.gammaln(c + 1.0)
+        return gammaln(s + c + 1.0) - gammaln(s) - gammaln(c + 1.0)
 
     def log_b_step(self, s, c):
         s = np.asarray(s, dtype=float)
@@ -585,13 +572,15 @@ def _gsst_log_b(s, c):
     # Gamma(c/2)**2 * (1 + s**2/(c+2l)**2)**(-1) and evaluates in O(1) at
     # machine precision; the constant is pinned by requiring the tilted link
     # density to integrate to 1 for every admissible c, not only c = 1.
+    from scipy.special import loggamma  # deferred: only gsst needs it
+
     s = np.asarray(s, dtype=float)
     z = 0.5 * c + 0.5j * s
     return (
         (c - 2.0) * _LOG_2
         - math.log(math.pi)
-        - special.gammaln(c)
-        + 2.0 * np.real(special.loggamma(z))
+        - gammaln(c)
+        + 2.0 * np.real(loggamma(z))
     )
 
 

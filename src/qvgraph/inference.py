@@ -51,7 +51,7 @@ result is bit-identical to running the chains one after another, which
 ``MCMCConfig(workers=1)`` does in the calling process.
 
 ``import qvgraph`` loads no scipy module.  ``scipy.special`` is bound at the
-first log-gamma (``families.special``), and every ``PriorConfig`` evaluates
+first log-gamma (``families.gammaln``), and every ``PriorConfig`` evaluates
 one when it is built, so a fit loads it once, in the calling process, before
 ``run_chains`` forks any worker; the workers inherit it.
 """
@@ -74,7 +74,8 @@ from .errors import (
     DomainError,
     EnumerationOverflowError,
 )
-from .families import Family, FamilyKind, get_family, special
+from . import families
+from .families import Family, FamilyKind, get_family
 from .model import (
     Dataset,
     _as_rng,
@@ -117,7 +118,7 @@ _NEG_INF = float("-inf")
 def _gamma_log_norm(a: float, b: float) -> float:
     """a log b - log Gamma(a), the log normalizing constant of a gamma with
     shape a and rate b; each prior computes it once."""
-    return a * math.log(b) - float(special.gammaln(a))
+    return a * math.log(b) - float(families.gammaln(a))
 
 
 def _gamma_logpdf(x: float, a: float, b: float, log_norm: float) -> float:
@@ -131,7 +132,7 @@ def _gamma_logpdf(x: float, a: float, b: float, log_norm: float) -> float:
 def _poisson_logpmf(k: float, lam: float) -> float:
     if k < 0 or k != round(k):
         return _NEG_INF
-    return k * math.log(lam) - special.gammaln(k + 1.0) - lam
+    return k * math.log(lam) - families.gammaln(k + 1.0) - lam
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +346,8 @@ class ChainState:
 
     ``edges`` has shape (P,) and ``links`` (n, P), both in ``node_pairs(p)``
     order, and ``w`` (n,).  ``accept`` maps block names to cumulative
-    [accepted, attempted] counts; ``step_sizes`` holds the current per-block
-    random-walk scales, ``_default_steps(p)`` when none are given.
+    [accepted, attempted] counts and ``step_sizes`` to random-walk scales,
+    to which a block's first move adds its initial scale.
     """
 
     family: FamilyKind
@@ -367,8 +368,6 @@ class ChainState:
         if self.w.ndim != 1:
             raise DomainError(f"w must have shape (n,), got {self.w.shape}")
         self.links = _expect_shape("links", self.links, (self.w.size, edges.size))
-        if not self.step_sizes:
-            self.step_sizes = _default_steps(self.p)
 
     @property
     def p(self) -> int:
@@ -406,14 +405,9 @@ def _block_names(j: int, k: int) -> _BlockNames:
     return _BlockNames(f"link_{tag}", f"edge_{tag}", f"scale_{tag}", f"refresh_{tag}")
 
 
-def _default_steps(p: int) -> dict:
-    """Initial random-walk scales by block, adapted during burn-in: 0.5, and
-    0.8 for the inverse-gamma link walk."""
-    steps = {"s0": 0.5, "c0": 0.5}
-    for j, k in node_pairs(p):
-        names = _block_names(j, k)
-        steps.update({names.edge: 0.5, names.link: 0.8, names.scale: 0.5, names.refresh: 0.5})
-    return steps
+_INITIAL_STEP = 0.5  # a block's random-walk scale at its first move
+_INITIAL_LINK_STEP = 0.8  # that of the inverse-gamma link walk
+_TARGET_ACCEPT = 0.44  # the acceptance rate burn-in adapts the scales toward
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +727,8 @@ class _SweepKernel:
             log_j_cur = np.where(accept, log_j_prop, log_j_cur)  # log(a_j + cur)
             log_k_cur = np.where(accept, log_k_prop, log_k_cur)
             # local log-scale random walk
-            eps = rng.normal(0.0, state.step_sizes[name], size=cur.shape)
+            eps = rng.normal(0.0, state.step_sizes.setdefault(name, _INITIAL_LINK_STEP),
+                             size=cur.shape)
             prop = cur * np.exp(eps)
             log_ratio = np.log(prop) - np.log(cur)
             delta = (
@@ -859,7 +854,7 @@ class _SweepKernel:
 
     def _log_step(self, state: ChainState, name, col, rng):
         cur = float(state.edges[col])
-        prop = cur * math.exp(rng.normal(0.0, state.step_sizes[name]))
+        prop = cur * math.exp(rng.normal(0.0, state.step_sizes.setdefault(name, _INITIAL_STEP)))
         return prop, math.log(prop) - math.log(cur)
 
     def _update_edge(self, state: ChainState, j, k, rng, s_star, c_star, terms):
@@ -899,7 +894,7 @@ class _SweepKernel:
         # Deterministic scaling move (c, S_1..S_n) -> e^eps * (c, S_1..S_n);
         # breaks the ridge between an intensity and its links.
         name = self.names[j, k].scale
-        eps = rng.normal(0.0, state.step_sizes[name])
+        eps = rng.normal(0.0, state.step_sizes.setdefault(name, _INITIAL_STEP))
         factor = math.exp(eps)
         col = self.column[j, k]
         new_c = float(state.edges[col]) * factor
@@ -924,7 +919,7 @@ class _SweepKernel:
 
     def _update_c0(self, state: ChainState, rng, terms, edge_rowsum):
         cur = state.c0
-        prop = cur * math.exp(rng.normal(0.0, state.step_sizes["c0"]))
+        prop = cur * math.exp(rng.normal(0.0, state.step_sizes.setdefault("c0", _INITIAL_STEP)))
         lo = self._log_target_c0(prop, state.s0, terms, edge_rowsum)
         # outside the support (beta: c0 <= s0) the ratio is -inf whatever lc is
         lc = self._log_target_c0(cur, state.s0, terms, edge_rowsum) if lo != _NEG_INF else 0.0
@@ -945,7 +940,8 @@ class _SweepKernel:
 
     def _update_s0(self, state: ChainState, rng, link_rowsum, c_star, theta_w_total):
         cur = state.s0
-        prop, jac = self.prior.s0_prior.propose(cur, state.c0, state.step_sizes["s0"], rng)
+        step = state.step_sizes.setdefault("s0", _INITIAL_STEP)
+        prop, jac = self.prior.s0_prior.propose(cur, state.c0, step, rng)
         args = (state.c0, c_star, link_rowsum, theta_w_total)
         lo = self._log_target_s0(prop, *args)
         lc = self._log_target_s0(cur, *args) if lo != _NEG_INF else 0.0
@@ -1053,12 +1049,11 @@ def gibbs_sweep(state: ChainState, data: Dataset, prior: PriorConfig, rng) -> Ch
     """One systematic scan over links, anchors, edges, c0 and s0 in place;
     stores the log posterior of the new state in ``state.log_posterior``.
     A state outside the prior's support, whose latents lie outside theirs or
-    whose ``step_sizes`` lack a block of ``_default_steps(p)`` raises
-    ``DomainError`` before any draw."""
-    missing = sorted(_default_steps(state.p).keys() - state.step_sizes.keys())
-    if missing:
-        raise DomainError(f"gibbs_sweep requires a step size for every block; missing: "
-                          f"{', '.join(missing)}")
+    with a negative or non-finite step size raises ``DomainError`` before any
+    draw; a block without a step size starts at its initial one."""
+    bad = {name: step for name, step in state.step_sizes.items() if not 0.0 <= step < math.inf}
+    if bad:
+        raise DomainError(f"gibbs_sweep requires finite, non-negative step sizes; got {bad}")
     fam = get_family(state.family)
     kernel = _SweepKernel(fam, data, prior)
     if not math.isfinite(prior.log_prior(fam, state.s0, state.c0, state.edges)):
@@ -1111,8 +1106,7 @@ def initial_state(family, data: Dataset, prior: PriorConfig, chain_index: int,
                       links=latents.links)
 
 
-def _adapt_block_steps(state: ChainState, window_start: dict, round_index: int,
-                       target: float = 0.44):
+def _adapt_block_steps(state: ChainState, window_start: dict, round_index: int):
     gain = 1.0 / math.sqrt(round_index)
     for name, step in state.step_sizes.items():
         if name.startswith("refresh_"):
@@ -1123,7 +1117,7 @@ def _adapt_block_steps(state: ChainState, window_start: dict, round_index: int,
         if d_tries <= 0:
             continue
         rate = (acc - a0) / d_tries
-        state.step_sizes[name] = step * math.exp((rate - target) * gain)
+        state.step_sizes[name] = step * math.exp((rate - _TARGET_ACCEPT) * gain)
     window_start.clear()
     window_start.update({n: tuple(c) for n, c in state.accept.items()})
 

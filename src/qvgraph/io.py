@@ -20,7 +20,7 @@ from .inference import (
     PosteriorSamples,
     PriorConfig,
 )
-from .model import Dataset, node_pairs
+from .model import Dataset, ModelParams, node_pairs
 
 __all__ = [
     "RunConfig",
@@ -78,23 +78,34 @@ def _parse_numbers(path: Path, rows, first_row_number: int = 1) -> np.ndarray:
     return values
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def load_dataset(path, family) -> Dataset:
     """Read a CSV with one replicate per row, validating against the family.
 
-    An optional header row of node names is detected by non-numeric cells.
-    Raises DataFormatError with the 1-based row/column of the first parse
-    failure, and SupportViolationError naming the first out-of-support cell.
+    The first row is a header of node names when none of its cells is a
+    number; a first row with any number in it is data.  Raises
+    DataFormatError with the 1-based row/column of the first parse failure or
+    of an empty or repeated node name, and SupportViolationError naming the
+    first out-of-support cell.
     """
     path = Path(path)
     fam = get_family(family)
     rows = _parse_rows(path)
 
     header = None
-    first = rows[0]
-    try:
-        [float(cell) for cell in first]
-    except ValueError:
-        header = [cell.strip() for cell in first]
+    if not any(_is_number(cell) for cell in rows[0]):
+        header = [cell.strip() for cell in rows[0]]
+        for j, name in enumerate(header):
+            if not name or name in header[:j]:
+                problem = f"repeated node name {name!r}" if name else "empty node name"
+                raise DataFormatError(f"{path}: {problem} in the header (column {j + 1})")
         rows = rows[1:]
         if not rows:
             raise DataFormatError(f"{path}: header present but no data rows")
@@ -161,8 +172,6 @@ class NetworkExport:
 
 
 def _intensity_matrix(source) -> tuple[np.ndarray, list[str]]:
-    from .model import ModelParams
-
     if isinstance(source, PosteriorSamples):
         return source.edge_matrix_mean(), list(source.node_names)
     if isinstance(source, ModelParams):
@@ -211,18 +220,22 @@ def export_network(source, labels=None, threshold: float = 5.0,
     return export
 
 
+def _dot_id(name: str) -> str:
+    """``name`` as a quoted DOT identifier, its backslashes and quotes escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _write_dot(export: NetworkExport, path: Path) -> None:
     lines = ["graph network {", "  node [shape=circle];"]
     for name in export.nodes:
-        lines.append(f'  "{name}";')
+        lines.append(f"  {_dot_id(name)};")
     for e in export.edges:
         if e.normalized < export.threshold:
             continue
         level = int(round(100.0 - e.normalized))
         level = min(max(level, 0), 100)
-        lines.append(
-            f'  "{e.source}" -- "{e.target}" [weight={e.normalized:.2f}, color=gray{level}];'
-        )
+        lines.append(f"  {_dot_id(e.source)} -- {_dot_id(e.target)} "
+                     f"[weight={e.normalized:.2f}, color=gray{level}];")
     lines.append("}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -284,9 +297,16 @@ def _sample_file(directory: Path, name: str) -> Path:
     return path
 
 
+def _check_shape(directory: Path, name: str, arr: np.ndarray, expected: tuple) -> None:
+    if arr.shape != expected:
+        raise ManifestError(f"{directory}: {name} has shape {arr.shape}, the manifest "
+                            f"gives {expected}")
+
+
 def load_samples(directory) -> PosteriorSamples:
-    """Reload a persisted samples directory; raises ManifestError on a
-    missing file or a mismatch."""
+    """Reload a persisted samples directory; raises ManifestError naming a
+    file that is missing, unreadable or not of the manifest's (chains,
+    retained) draws, or on a format version mismatch."""
     directory = Path(directory)
     manifest = json.loads(_sample_file(directory, "manifest.json").read_text(encoding="utf-8"))
     version = manifest.get("format_version")
@@ -296,10 +316,16 @@ def load_samples(directory) -> PosteriorSamples:
             f"(expected {_FORMAT_VERSION})"
         )
 
+    draws = (manifest["chains"], manifest["retained"])
+
     def read_param(name):
-        arr = np.loadtxt(_sample_file(directory, f"{name}.csv"), delimiter=",", skiprows=1,
-                         ndmin=2)
-        return np.ascontiguousarray(arr.T)
+        path = _sample_file(directory, f"{name}.csv")
+        try:
+            arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
+        except ValueError as exc:
+            raise ManifestError(f"{directory}: cannot parse {path.name} ({exc})") from None
+        _check_shape(directory, path.name, arr, draws)
+        return np.ascontiguousarray(arr)
 
     pairs = [tuple(p) for p in manifest["pairs"]]
     s0 = read_param("s0")
@@ -311,6 +337,9 @@ def load_samples(directory) -> PosteriorSamples:
         with np.load(_sample_file(directory, "latents.npz")) as payload:
             w = payload["w"]
             links = payload["links"]
+        n = w.shape[-1] if w.ndim == 3 else "n"
+        _check_shape(directory, "latents.npz w", w, (*draws, n))
+        _check_shape(directory, "latents.npz links", links, (*draws, n, len(pairs)))
     return PosteriorSamples(
         family=FamilyKind(manifest["family"]),
         node_names=list(manifest["node_names"]),

@@ -26,6 +26,7 @@ from .errors import (
     DomainError,
     InfiniteVarianceError,
     SingularModelError,
+    SupportViolationError,
 )
 from .families import Family, FamilyKind, get_family
 
@@ -182,8 +183,6 @@ class Dataset:
 
     def validate_support(self, family) -> None:
         """Raise SupportViolationError naming the first offending cell."""
-        from .errors import SupportViolationError
-
         fam = get_family(family)
         ok = fam.in_mean_space(self.y)
         if not np.all(ok):

@@ -194,6 +194,19 @@ class TestFitFlow:
         assert err.startswith("error: ") and "c_1_2.csv" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name", ["s0.csv", "c_1_2.csv"])
+    @pytest.mark.parametrize("command", ["summarize", "mse"])
+    def test_samples_with_rows_cut_fail_cleanly(self, workdir, capsys, command, name):
+        out = self.fit_small(workdir)
+        path = out / name
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-5]))
+        capsys.readouterr()
+        extra = ["--data", workdir / "data.csv"] if command == "mse" else []
+        assert run([command, "--samples", out, *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{name} has shape (2, 95)" in err
+        assert "Traceback" not in err
+
 
 def test_frozen_edges_are_flagged(workdir, capsys):
     """On this beta fit no edge move is ever accepted, so every edge stays

@@ -152,3 +152,20 @@ print(at_fork)
 """)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[True, True]"
+
+
+def test_a_fit_binds_the_log_gamma_to_the_scipy_ufunc():
+    proc = fresh("""
+import numpy as np
+import qvgraph
+from qvgraph import MCMCConfig, ModelParams, PriorConfig, run_chains, simulate
+
+edges = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 3.0], [1.0, 3.0, 0.0]])
+data, _ = simulate(ModelParams("gamma", 2.0, 3.0, edges), 30, 1)
+config = MCMCConfig(iterations=20, burn_in=10, thinning=1, chains=1, seed=1)
+run_chains(data, "gamma", PriorConfig.default_for("gamma"), config)
+import scipy.special
+print(qvgraph.families.gammaln is scipy.special.gammaln)
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "True"

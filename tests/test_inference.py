@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -48,6 +49,27 @@ SMALL = {
     FamilyKind.INVERSE_GAMMA: dict(s0=6.0, c0=10.0, edges=[[0.0, 1.5, 0.7], [1.5, 0.0, 2.2], [0.7, 2.2, 0.0]]),
     FamilyKind.BETA: dict(s0=6.0, c0=10.0, edges=[[0.0, 2.0, 1.0], [2.0, 0.0, 3.0], [1.0, 3.0, 0.0]]),
     FamilyKind.INVERSE_BETA: dict(s0=6.0, c0=10.0, edges=[[0.0, 2.0, 1.0], [2.0, 0.0, 3.0], [1.0, 3.0, 0.0]]),
+}
+
+
+def initial_steps(*blocks):
+    """Initial step sizes of the three-node models' pair blocks ``blocks``
+    (0.8 for the inverse-gamma link walk, else 0.5), with s0 and c0."""
+    steps = {"s0": 0.5, "c0": 0.5}
+    for block in blocks:
+        for j, k in node_pairs(3):
+            steps[f"{block}_{j + 1}_{k + 1}"] = 0.8 if block == "link" else 0.5
+    return steps
+
+
+# The step sizes each family's sweep reads: the edge random walk, rescale and
+# refresh on the log scale, and the inverse-gamma link walk.
+STEP_NAMES = {
+    FamilyKind.NORMAL: initial_steps("edge", "scale", "refresh"),
+    FamilyKind.INVERSE_GAMMA: initial_steps("edge", "scale", "refresh", "link"),
+    FamilyKind.GAMMA: initial_steps("edge", "refresh"),
+    FamilyKind.BETA: initial_steps(),
+    FamilyKind.INVERSE_BETA: initial_steps(),
 }
 
 
@@ -1066,18 +1088,44 @@ class TestGibbsSweep:
                                   equal_nan=True), name
         assert (state.accept, state.step_sizes) == (before.accept, before.step_sizes)
 
-    def test_state_without_every_step_size_rejected_before_any_draw(self):
+    @pytest.mark.parametrize("name", ["c0", "edge_1_2"])
+    @pytest.mark.parametrize("step", [-1.0, math.nan, math.inf])
+    def test_bad_step_size_rejected_before_any_draw(self, name, step):
         params, data, state = make_state(FamilyKind.NORMAL, n=5)
-        state.step_sizes = {"s0": 0.1, "c0": 0.1, "edge_1_2": 0.1}
+        state.step_sizes = {"s0": 0.1, name: step}
         before = copy.deepcopy(state)
         rng = np.random.default_rng(6)
         stream = copy.deepcopy(rng.bit_generator.state)
-        with pytest.raises(DomainError, match="missing: edge_1_3, edge_2_3, link_1_2, "):
+        with pytest.raises(DomainError, match=re.escape(f"step sizes; got {{'{name}': {step}}}")):
             gibbs_sweep(state, data, PriorConfig.default_for(FamilyKind.NORMAL), rng)
         assert rng.bit_generator.state == stream
-        for name in ("s0", "c0", "edges", "w", "links", "log_posterior"):
-            assert np.array_equal(getattr(state, name), getattr(before, name)), name
+        for attr in ("s0", "c0", "edges", "w", "links", "log_posterior"):
+            assert np.array_equal(getattr(state, attr), getattr(before, attr)), attr
         assert (state.accept, state.step_sizes) == (before.accept, before.step_sizes)
+
+    @pytest.mark.parametrize("kind", [FamilyKind.NORMAL, FamilyKind.INVERSE_GAMMA])
+    def test_partial_step_sizes_sweep_as_if_completed_with_the_initial_ones(self, kind):
+        partial = {"s0": 0.1, "edge_1_2": 0.3, "scale_2_3": 0.2, "link_1_3": 0.6}
+        runs = []
+        for steps in (partial, {**STEP_NAMES[kind], **partial}):
+            params, data, state = make_state(kind, n=5)
+            state.step_sizes = dict(steps)
+            rng = np.random.default_rng(9)
+            for _ in range(3):
+                gibbs_sweep(state, data, PriorConfig.default_for(kind), rng)
+            runs.append((state, rng))
+        (a, rng_a), (b, rng_b) = runs
+        for name in ("s0", "c0", "edges", "w", "links", "log_posterior"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert (a.accept, a.step_sizes) == (b.accept, b.step_sizes)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("kind", INFERENCE_KINDS)
+    def test_a_sweep_adds_the_step_size_of_each_move_it_makes(self, kind):
+        params, data, state = make_state(kind, n=5)
+        assert state.step_sizes == {}
+        gibbs_sweep(state, data, PriorConfig.default_for(kind), np.random.default_rng(4))
+        assert state.step_sizes == STEP_NAMES[kind]
 
     def test_long_run_stays_bounded(self, rng):
         params, data, state = make_state(FamilyKind.NORMAL, n=20)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import zipfile
 
 import numpy as np
@@ -66,6 +67,23 @@ class TestLoadDataset:
         assert np.array_equal(a.y, b.y)
         assert a.node_names == ["n1", "n2"]
         assert b.node_names == ["y1", "y2"]
+
+    def test_first_row_with_a_number_is_data(self, tmp_path):
+        path = tmp_path / "gap.csv"
+        path.write_text("1.0,,3.0\n2.0,3.0,4.0\n2.5,3.5,4.5\n")
+        with pytest.raises(DataFormatError, match=r"could not parse '' \(row 1, column 2\)"):
+            load_dataset(path, "gamma")
+
+    @pytest.mark.parametrize("header, problem", [
+        ("a,,c", "empty node name in the header (column 2)"),
+        ("a,b,a", "repeated node name 'a' in the header (column 3)"),
+        ("a, b,b ", "repeated node name 'b' in the header (column 3)"),
+    ])
+    def test_empty_or_repeated_node_name_rejected(self, tmp_path, header, problem):
+        path = tmp_path / "names.csv"
+        path.write_text(header + "\n1.0,2.0,3.0\n")
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: {problem}")):
+            load_dataset(path, "gamma")
 
     def test_parse_error_location(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -183,6 +201,16 @@ class TestExportNetwork:
         assert "color=gray0" in dot  # the strongest edge is black
         assert "color=gray50" in dot
 
+    def test_dot_escapes_quotes_and_backslashes(self, tmp_path):
+        matrix = np.array([[0.0, 1.0], [1.0, 0.0]])
+        export = export_network(matrix, labels=['a"b', "c\\"], threshold=0.0,
+                                out_dir=tmp_path, basename="q")
+        lines = (tmp_path / "q.dot").read_text().splitlines()
+        assert lines[2:5] == ['  "a\\"b";', '  "c\\\\";',
+                              '  "a\\"b" -- "c\\\\" [weight=100.00, color=gray0];']
+        payload = json.loads((tmp_path / "q.json").read_text())
+        assert payload["nodes"] == export.nodes == ['a"b', "c\\"]
+
 
 def compress_types(path):
     with zipfile.ZipFile(path) as archive:
@@ -232,6 +260,42 @@ class TestPersistence:
         persist_samples(small_samples, tmp_path / "out")
         (tmp_path / "out" / name).unlink()
         with pytest.raises(ManifestError, match=f"missing {name}"):
+            load_samples(tmp_path / "out")
+
+
+def cut_rows(path, count=5):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-count]))
+
+
+class TestDamagedSamples:
+    """Files that disagree with the manifest's (chains, retained) fail by name."""
+
+    @pytest.mark.parametrize("name", ["s0.csv", "c0.csv", "c_1_2.csv"])
+    def test_parameter_file_with_rows_cut(self, tmp_path, small_samples, name):
+        persist_samples(small_samples, tmp_path / "out")
+        cut_rows(tmp_path / "out" / name)
+        with pytest.raises(ManifestError, match=re.escape(
+                f"{name} has shape (2, 35), the manifest gives (2, 40)")):
+            load_samples(tmp_path / "out")
+
+    def test_parameter_file_with_a_ragged_row(self, tmp_path, small_samples):
+        persist_samples(small_samples, tmp_path / "out")
+        path = tmp_path / "out" / "c0.csv"
+        path.write_text(path.read_text() + "1.0\n")
+        with pytest.raises(ManifestError, match="cannot parse c0.csv"):
+            load_samples(tmp_path / "out")
+
+    @pytest.mark.parametrize("w_cut, links_cut, problem", [
+        ((slice(None), slice(1, None)), (), "latents.npz w has shape (2, 39, 30)"),
+        ((), (Ellipsis, slice(1, None), slice(None)), "latents.npz links has shape (2, 40, 29, 1)"),
+        ((Ellipsis, 0), (), "latents.npz w has shape (2, 40)"),
+    ])
+    def test_latents_that_disagree(self, tmp_path, small_samples, w_cut, links_cut, problem):
+        persist_samples(small_samples, tmp_path / "out")
+        np.savez(tmp_path / "out" / "latents.npz", w=small_samples.w[w_cut],
+                 links=small_samples.links[links_cut])
+        with pytest.raises(ManifestError, match=re.escape(problem)):
             load_samples(tmp_path / "out")
 
 
