@@ -83,7 +83,6 @@ from .model import (
 from .presets import five_area_edge_matrix, five_area_params
 from .verify import (
     OracleReport,
-    SmallInstance,
     conditional_consistency_check,
     density_normalization_check,
     mc_correlation_check,

@@ -25,14 +25,13 @@ use the whole support 0..c_jk; Poisson and negative-binomial links start from
 a short grid that doubles until a geometric bound on the cut-off tail falls
 below ``_ENUM_TAIL_TOL`` = 1e-12.  No grid, bounded or not, may hold more
 than ``_ENUM_MAX_STATES`` = 1,000,000 values.
-The grid is stored values-major, (values, replicates) with the replicates
-contiguous, and callers see its (replicates, values) transpose.  The
-log-mass recurrence and the sampler's CDF are accumulated by one add of a
-whole replicate row per value from 200 replicates on, and by ``np.cumsum``
-down the columns below that, where the adds' fixed call cost would
-dominate; a doubled grid appends rows.  The order of additions is that of a
-cumulative sum along each replicate's row, so the log-masses and the draws
-do not depend on the layout or on the replicate count.
+The grid is values-major, (values, replicates) with the replicates
+contiguous.  The log-mass recurrence and the sampler's CDF are accumulated
+by one add of a whole replicate row per value from 200 replicates on, and
+by ``np.cumsum`` down the columns below that, where the adds' fixed call
+cost would dominate; a doubled grid appends rows.  The order of additions
+is that of a cumulative sum over each replicate's values, so the log-masses
+and the draws do not depend on the replicate count.
 
 The edge moves evaluate only their candidate.  After the anchors the sweep
 computes, for the current state, each node's sum of log h, each pair's sum of
@@ -414,12 +413,29 @@ _TARGET_ACCEPT = 0.44  # the acceptance rate burn-in adapts the scales toward
 # Full conditionals for the top-level parameters
 # ---------------------------------------------------------------------------
 
+def _check_latents(state: ChainState, data: Dataset) -> None:
+    """``DomainError`` unless the state's links are (n, P) for the data's n and p."""
+    expected = (data.n, data.p * (data.p - 1) // 2)
+    if state.links.shape != expected:
+        raise DomainError(f"state links of shape {state.links.shape} do not match the "
+                          f"data's (n, P) = {expected}")
+
+
+def _checked_kernel(state: ChainState, data: Dataset, prior=None, link_terms=False):
+    """The sampler kernel of a single-site operation on ``state``, built after
+    ``_check_latents``; ``prior`` defaults to the family's.  With
+    ``link_terms`` returns (kernel, s*, theta(w), c*) of the links block."""
+    _check_latents(state, data)
+    fam = get_family(state.family)
+    kernel = _SweepKernel(fam, data, PriorConfig.default_for(fam) if prior is None else prior)
+    return (kernel, *kernel._link_block_terms(state)) if link_terms else kernel
+
+
 def log_full_conditional_s0(state: ChainState, data: Dataset, prior: PriorConfig,
                             s0_candidate: float) -> float:
     """Log full conditional of s0 (up to an additive constant); -inf outside
     the admissible region."""
-    kernel = _SweepKernel(get_family(state.family), data, prior)
-    s_star, theta_w, c_star = kernel._link_block_terms(state)
+    kernel, s_star, theta_w, c_star = _checked_kernel(state, data, prior, link_terms=True)
     return kernel._log_target_s0(float(s0_candidate), state.c0, c_star, s_star - state.s0,
                                  float(np.sum(theta_w)))
 
@@ -428,8 +444,7 @@ def log_full_conditional_c0(state: ChainState, data: Dataset, prior: PriorConfig
                             c0_candidate: float) -> float:
     """Log full conditional of c0; -inf for nonpositive candidates (and for
     candidates not exceeding s0 in the beta family)."""
-    kernel = _SweepKernel(get_family(state.family), data, prior)
-    s_star, _, c_star = kernel._link_block_terms(state)
+    kernel, s_star, _, c_star = _checked_kernel(state, data, prior, link_terms=True)
     return kernel._log_target_c0(float(c0_candidate), state.s0,
                                  kernel._edge_terms(state, s_star, c_star), c_star - state.c0)
 
@@ -439,9 +454,8 @@ def log_full_conditional_cjk(state: ChainState, data: Dataset, prior: PriorConfi
     """Log full conditional of the edge intensity between nodes j and k, up to
     an additive constant: the sampler's log-ratio of the candidate against the
     current intensity, links held fixed; -inf outside the support."""
-    kernel = _SweepKernel(get_family(state.family), data, prior)
+    kernel, s_star, _, c_star = _checked_kernel(state, data, prior, link_terms=True)
     j, k, _ = kernel._lookup_pair(state, j, k)
-    s_star, _, c_star = kernel._link_block_terms(state)
     terms = kernel._edge_terms(state, s_star, c_star)
     return kernel._pair_candidate(state, j, k, s_star, c_star, float(c_candidate), None,
                                   terms)[0]
@@ -491,12 +505,11 @@ def _enum_link_logmass(fam, values, a_j, a_k, cj, ck, c_jk, t_sum, g0=0.0):
     """Unnormalized log mass of a run of consecutive integer link values.
 
     ``values`` has shape (m,), the replicate-dependent inputs and ``g0``
-    (the log mass at ``values[0]``) shape (r,) or scalar; the result has
-    shape (r, m).  It is the cumulative sum of the exact log-ratios of
-    successive masses, ``g(s+1) - g(s) = Dlog h(a_j+s, cj) + Dlog h(a_k+s, ck)
-    + Dlog b(s, c_jk) + t_sum``, so no log-gamma is evaluated.  The result is
-    the transpose of a values-major (m, r) buffer, whose recurrence is one
-    r-length add per value.
+    (the log mass at ``values[0]``) shape (r,) or scalar; the result is the
+    values-major (m, r) grid.  It is the cumulative sum of the exact
+    log-ratios of successive masses, ``g(s+1) - g(s) = Dlog h(a_j+s, cj) +
+    Dlog h(a_k+s, ck) + Dlog b(s, c_jk) + t_sum``, so no log-gamma is
+    evaluated.
     """
     s = values[:-1, None]
     g = np.empty((values.shape[0], a_j.shape[0]))
@@ -507,7 +520,7 @@ def _enum_link_logmass(fam, values, a_j, a_k, cj, ck, c_jk, t_sum, g0=0.0):
         + fam.log_b_step(values[:-1], c_jk)[:, None]
         + t_sum
     )
-    return _running_sum(g).T
+    return _running_sum(g)
 
 
 # First grid of an unbounded link conditional: small, so that links near 0
@@ -529,12 +542,12 @@ def _enum_link_grid(fam, a_j, a_k, cj, ck, c_jk, t_sum):
     r / (1 - r), with r the ratio of the last two terms) drops below
     ``_ENUM_TAIL_TOL`` relative to the largest term.  Each doubling continues
     the log-ratio recurrence of ``_enum_link_logmass`` from the last value
-    and appends the new values' rows to the values-major buffer instead of
-    rebuilding the grid.  Returns the values, the (r, m) log mass and each
-    replicate's largest log mass.
+    and appends the new values' rows to the grid instead of rebuilding it.
+    Returns the values, the (m, r) log mass and each replicate's largest
+    log mass.
     """
     values = np.arange(0.0, _ENUM_START + 1.0)
-    g = _enum_link_logmass(fam, values, a_j, a_k, cj, ck, c_jk, t_sum).T
+    g = _enum_link_logmass(fam, values, a_j, a_k, cj, ck, c_jk, t_sum)
     while True:
         g_max = g.max(axis=0)
         last = g[-1]
@@ -543,33 +556,33 @@ def _enum_link_grid(fam, a_j, a_k, cj, ck, c_jk, t_sum):
         ratio = np.exp(np.minimum(last - prev, -1e-12))
         bound = np.exp(last - g_max) * ratio / (1.0 - ratio)
         if np.all(decreasing) and np.all(bound < _ENUM_TAIL_TOL):
-            return values, g.T, g_max
+            return values, g, g_max
         m = 2 * (values.shape[0] - 1)
         if m > _ENUM_MAX_STATES:
             raise EnumerationOverflowError(
                 f"link enumeration exceeded {_ENUM_MAX_STATES} states before reaching the tail"
             )
         more = np.arange(values[-1], m + 1.0)
-        g_more = _enum_link_logmass(fam, more, a_j, a_k, cj, ck, c_jk, t_sum, last).T
+        g_more = _enum_link_logmass(fam, more, a_j, a_k, cj, ck, c_jk, t_sum, last)
         values = np.arange(0.0, m + 1.0)
         g = np.concatenate([g, g_more[1:]])
 
 
 def _rows_softmax_sample(g, g_max, rng):
-    """One index per row of the (r, m) log-mass grid ``g``, whose rows'
-    largest values are ``g_max``, drawn by inversion of the row's normalized
-    CDF with one uniform per row.
+    """One value index per replicate of the (m, r) log-mass grid ``g``,
+    whose replicates' largest values are ``g_max``, drawn by inversion of the
+    replicate's normalized CDF with one uniform per replicate.
 
-    Works down the values-major ``g.T``, with the row-major grid's order of
-    additions, so every index is the one ``np.searchsorted`` finds on that
-    CDF, clamped to the last value.
+    Adds in the order of a cumulative sum over each replicate's values, so
+    every index is the one ``np.searchsorted`` finds on that CDF, clamped to
+    the last value.
     """
-    p = np.exp(g.T - g_max)
-    p /= np.ascontiguousarray(p.T).sum(axis=1)  # numpy's pairwise row sum
+    p = np.exp(g - g_max)
+    p /= np.ascontiguousarray(p.T).sum(axis=1)  # numpy's pairwise sum per replicate
     cum = _running_sum(p)
-    u = rng.random(g.shape[0])
+    u = rng.random(g.shape[1])
     idx = (u > cum).sum(axis=0)
-    return np.minimum(idx, g.shape[1] - 1)
+    return np.minimum(idx, g.shape[0] - 1)
 
 
 @dataclass(slots=True)
@@ -614,11 +627,13 @@ class _SweepKernel:
         self.n, self.p = data.y.shape
         self.theta_y = np.asarray(fam.theta(data.y), dtype=float)
         self.theta_y_col = list(self.theta_y.T)  # the strided views theta_y[:, node]
+        self.pairs = node_pairs(self.p)
+        # theta(y_j) + theta(y_k) by pair column, to which each link draw adds theta(w)
+        self.theta_y_pair = [self.theta_y[:, j] + self.theta_y[:, k] for j, k in self.pairs]
         m_y = np.asarray(fam.cumulant(data.y), dtype=float)
         self.theta_y_total = float(self.theta_y.sum())
         self.m_y_total = float(m_y.sum())
         self.m_y_node = m_y.sum(axis=0).tolist()
-        self.pairs = node_pairs(self.p)
         self.column = {pair: e for e, pair in enumerate(self.pairs)}  # pair -> its column
         self.names = {pair: _block_names(*pair) for pair in self.pairs}
 
@@ -652,13 +667,14 @@ class _SweepKernel:
         without them, the node intensities cj, ck and
         t_sum = theta(y_j) + theta(y_k) + theta(w).
         """
-        cur = np.array(state.links[sel, self.column[j, k]], dtype=float)  # a snapshot
-        t_sum = self.theta_y[sel, j] + self.theta_y[sel, k] + theta_w[sel]
+        col = self.column[j, k]
+        cur = np.array(state.links[sel, col], dtype=float)  # a snapshot
+        t_sum = self.theta_y_pair[col][sel] + theta_w[sel]
         return cur, s_star[sel, j] - cur, s_star[sel, k] - cur, c_node[j], c_node[k], t_sum
 
     def _enumerate_links(self, j, k, c_jk, a_j, a_k, cj, ck, t_sum, sel):
-        """Support grid, unnormalized (r, m) log mass and each row's largest
-        log mass of discrete link conditionals.
+        """Support grid, unnormalized (m, r) log mass and each replicate's
+        largest log mass of discrete link conditionals.
 
         The one enumeration path of the sampler and of
         ``link_conditional_pmf``: the fixed grid 0..c_jk for binomial links,
@@ -681,7 +697,7 @@ class _SweepKernel:
                 )
             values = np.arange(0.0, count + 1.0)
             g = _enum_link_logmass(fam, values, a_j, a_k, cj, ck, c_jk, t_sum)
-            return values, g, g.max(axis=1)
+            return values, g, g.max(axis=0)
         return _enum_link_grid(fam, a_j, a_k, cj, ck, c_jk, t_sum)
 
     def _update_links_pair(self, state: ChainState, j, k, rng, s_star, theta_w, c_node,
@@ -985,10 +1001,9 @@ def sample_link_conditional(state: ChainState, data: Dataset, i: int, j: int, k:
     Poisson and negative-binomial links; inverse-gamma links take an
     independence step from the link prior and then a log-scale random walk.
     """
-    kernel = _SweepKernel(get_family(state.family), data, PriorConfig.default_for(state.family))
+    kernel, *terms = _checked_kernel(state, data, link_terms=True)
     j, k, col = kernel._lookup_pair(state, j, k, positive=True)
-    kernel._update_links_pair(state, j, k, rng, *kernel._link_block_terms(state),
-                              sel=np.array([i]))
+    kernel._update_links_pair(state, j, k, rng, *terms, sel=np.array([i]))
     return float(state.links[i, col])
 
 
@@ -1003,9 +1018,7 @@ def _anchor_params(state: ChainState):
 
 def sample_w_conditional(state: ChainState, data: Dataset, i: int, rng) -> float:
     """Exact conjugate draw of the anchor of replicate i given the rest."""
-    fam = get_family(state.family)
-    if fam.kind is FamilyKind.GSST:
-        raise DomainError("posterior inference is not available for the gsst family")
+    fam = _checked_kernel(state, data).fam  # the kernel rejects the gsst family
     s_i, c_i = _anchor_params(state)
     value = float(fam.sample_w(float(s_i[i]), c_i, rng))
     state.w[i] = value
@@ -1021,13 +1034,13 @@ def link_conditional_pmf(state: ChainState, data: Dataset, i: int, j: int, k: in
     fam = get_family(state.family)
     if not fam.discrete_links:
         raise DomainError(f"{fam.kind.value}: link conditional is not discrete")
-    kernel = _SweepKernel(fam, data, PriorConfig.default_for(fam))
+    kernel, *block_terms = _checked_kernel(state, data, link_terms=True)
     j, k, col = kernel._lookup_pair(state, j, k, positive=True)
     c_jk = float(state.edges[col])
     sel = np.array([i])
-    _, *terms = kernel._pair_terms(state, j, k, *kernel._link_block_terms(state), sel)
+    _, *terms = kernel._pair_terms(state, j, k, *block_terms, sel)
     values, g, g_max = kernel._enumerate_links(j, k, c_jk, *terms, sel)
-    probs = np.exp(g[0] - g_max[0])
+    probs = np.exp(g[:, 0] - g_max[0])
     probs /= probs.sum()
     return values, probs
 
@@ -1038,9 +1051,9 @@ def link_conditional_normal_coeffs(state: ChainState, data: Dataset, i: int, j: 
     fam = get_family(state.family)
     if fam.kind is not FamilyKind.NORMAL:
         raise DomainError("completed-square coefficients exist for the normal family only")
-    kernel = _SweepKernel(fam, data, PriorConfig.default_for(fam))
+    kernel, *block_terms = _checked_kernel(state, data, link_terms=True)
     j, k, col = kernel._lookup_pair(state, j, k, positive=True)
-    _, *terms = kernel._pair_terms(state, j, k, *kernel._link_block_terms(state), np.array([i]))
+    _, *terms = kernel._pair_terms(state, j, k, *block_terms, np.array([i]))
     mean, sd = _normal_link_moments(float(state.edges[col]), *terms)
     return float(mean[0]), float(sd)
 
@@ -1048,15 +1061,15 @@ def link_conditional_normal_coeffs(state: ChainState, data: Dataset, i: int, j: 
 def gibbs_sweep(state: ChainState, data: Dataset, prior: PriorConfig, rng) -> ChainState:
     """One systematic scan over links, anchors, edges, c0 and s0 in place;
     stores the log posterior of the new state in ``state.log_posterior``.
-    A state outside the prior's support, whose latents lie outside theirs or
-    with a negative or non-finite step size raises ``DomainError`` before any
-    draw; a block without a step size starts at its initial one."""
+    A state with a negative or non-finite step size, latents not of the
+    data's shape, outside the prior's support or with latents outside theirs
+    raises ``DomainError`` before any draw; a block without a step size
+    starts at its initial one."""
     bad = {name: step for name, step in state.step_sizes.items() if not 0.0 <= step < math.inf}
     if bad:
         raise DomainError(f"gibbs_sweep requires finite, non-negative step sizes; got {bad}")
-    fam = get_family(state.family)
-    kernel = _SweepKernel(fam, data, prior)
-    if not math.isfinite(prior.log_prior(fam, state.s0, state.c0, state.edges)):
+    kernel = _checked_kernel(state, data, prior)
+    if not math.isfinite(prior.log_prior(kernel.fam, state.s0, state.c0, state.edges)):
         raise DomainError("gibbs_sweep requires a state inside the prior's support")
     if not math.isfinite(kernel.log_posterior(state)):  # the prior is finite: a latent is out
         raise DomainError("gibbs_sweep requires latents inside their support, given a "
@@ -1067,7 +1080,9 @@ def gibbs_sweep(state: ChainState, data: Dataset, prior: PriorConfig, rng) -> Ch
 
 
 def log_posterior(state: ChainState, data: Dataset, prior: PriorConfig) -> float:
-    """Log joint of data, latents and parameters under the priors."""
+    """Log joint of data, latents and parameters under the priors;
+    ``DomainError`` if the state's latents do not have the data's shape."""
+    _check_latents(state, data)
     fam = get_family(state.family)
     lik = log_joint_likelihood_arrays(
         fam, data.y, state.w, state.links, state.s0, state.c0, state.edges

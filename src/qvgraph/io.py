@@ -306,7 +306,8 @@ def _check_shape(directory: Path, name: str, arr: np.ndarray, expected: tuple) -
 def load_samples(directory) -> PosteriorSamples:
     """Reload a persisted samples directory; raises ManifestError naming a
     file that is missing, unreadable or not of the manifest's (chains,
-    retained) draws, or on a format version mismatch."""
+    retained) draws, on a format version mismatch, or when the manifest's
+    pairs are not the node pairs of its node names."""
     directory = Path(directory)
     manifest = json.loads(_sample_file(directory, "manifest.json").read_text(encoding="utf-8"))
     version = manifest.get("format_version")
@@ -328,6 +329,10 @@ def load_samples(directory) -> PosteriorSamples:
         return np.ascontiguousarray(arr)
 
     pairs = [tuple(p) for p in manifest["pairs"]]
+    node_names = list(manifest["node_names"])
+    if pairs != node_pairs(len(node_names)):
+        raise ManifestError(f"{directory}: manifest.json lists pairs {pairs}, which are not "
+                            f"the node pairs of its {len(node_names)} node_names")
     s0 = read_param("s0")
     c0 = read_param("c0")
     edge_arrays = [read_param(f"c_{j + 1}_{k + 1}") for j, k in pairs]
@@ -342,7 +347,7 @@ def load_samples(directory) -> PosteriorSamples:
         _check_shape(directory, "latents.npz links", links, (*draws, n, len(pairs)))
     return PosteriorSamples(
         family=FamilyKind(manifest["family"]),
-        node_names=list(manifest["node_names"]),
+        node_names=node_names,
         pairs=pairs,
         s0=s0,
         c0=c0,

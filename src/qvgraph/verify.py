@@ -37,7 +37,6 @@ from .model import Dataset, ModelParams, _as_rng, marginal_moments, pairwise_cor
 
 __all__ = [
     "OracleReport",
-    "SmallInstance",
     "mc_moment_check",
     "mc_correlation_check",
     "conditional_consistency_check",
@@ -216,23 +215,12 @@ def scipy_log_joint(family, y, w, links, s0, c0, edges, prior: PriorConfig) -> f
 # Conditional-vs-joint consistency harness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SmallInstance:
-    """A deliberately tiny model instance (n <= 3, p <= 3) for brute force."""
-
-    params: ModelParams
-    n: int
-
-    def __post_init__(self):
-        if self.n > 3 or self.params.p > 3:
-            raise DomainError("small instances are restricted to n <= 3 and p <= 3")
-
-
-def _default_small_instance(kind: FamilyKind) -> SmallInstance:
+def _default_small_instance(kind: FamilyKind) -> ModelParams:
+    """The two-node instance the consistency check simulates on 2 replicates."""
     counts = get_family(kind).integer_intensity
     c = 2.0 if counts else 1.5
     s0, c0 = (6.0, 10.0) if counts else (1.0, 2.0) if kind is FamilyKind.NORMAL else (2.0, 3.0)
-    return SmallInstance(ModelParams(kind, s0, c0, np.array([[0.0, c], [c, 0.0]])), n=2)
+    return ModelParams(kind, s0, c0, np.array([[0.0, c], [c, 0.0]]))
 
 
 def _candidate_pairs(kind: FamilyKind, which: str, state: ChainState):
@@ -253,63 +241,47 @@ def _candidate_pairs(kind: FamilyKind, which: str, state: ChainState):
     return 0.7, 2.9
 
 
-def conditional_consistency_check(family, small_instance: SmallInstance | None,
-                                  rng, tolerance: float = 1e-8) -> list[OracleReport]:
+# Largest |conditional difference - joint difference| a check passes with.
+_CONSISTENCY_TOL = 1e-8
+
+
+def conditional_consistency_check(family, rng) -> list[OracleReport]:
     """Verify each full conditional against the independent scipy joint.
 
-    Compares log-conditional differences between two candidates with the
-    corresponding joint differences, checks enumeration samplers against
-    brute-force normalized mass, and extracts the completed-square
-    coefficients of the normal link conditional by quadratic fitting.
+    Simulates a fixed two-node instance on 2 replicates.  For s0, c0 and the
+    edge intensity, compares the log-conditional difference between two
+    candidates with the joint's difference, to within 1e-8; then checks
+    enumeration samplers against brute-force normalized mass and extracts the
+    completed-square coefficients of the normal link conditional by
+    quadratic fitting.
     """
     rng = _as_rng(rng)
     fam = get_family(family)
     if fam.kind is FamilyKind.GSST:
         raise DomainError("no posterior conditionals are implemented for gsst")
-    instance = small_instance or _default_small_instance(fam.kind)
-    params = instance.params
+    params = _default_small_instance(fam.kind)
     prior = PriorConfig.default_for(fam.kind)
-    data, latents = simulate(params, instance.n, rng)
+    data, latents = simulate(params, 2, rng)
     state = ChainState(family=fam.kind, s0=params.s0, c0=params.c0, edges=params.edges,
                        w=latents.w, links=latents.links)
-    y = data.y
+    # (name, the conditional at a candidate, (s0, c0, edges) of the joint at
+    # it); the edge is the instance's one pair (0, 1)
+    checks = (
+        ("s0", lambda v: log_full_conditional_s0(state, data, prior, v),
+         lambda v: (v, state.c0, state.edges)),
+        ("c0", lambda v: log_full_conditional_c0(state, data, prior, v),
+         lambda v: (state.s0, v, state.edges)),
+        ("edge", lambda v: log_full_conditional_cjk(state, data, prior, 0, 1, v),
+         lambda v: (state.s0, state.c0, np.array([v]))),
+    )
     reports = []
-
-    def joint(s0=None, c0=None, edges=None):
-        return scipy_log_joint(
-            fam.kind, y, state.w, state.links,
-            state.s0 if s0 is None else s0,
-            state.c0 if c0 is None else c0,
-            state.edges if edges is None else edges,
-            prior,
-        )
-
-    a, b = _candidate_pairs(fam.kind, "s0", state)
-    d_cond = (log_full_conditional_s0(state, data, prior, a)
-              - log_full_conditional_s0(state, data, prior, b))
-    reports.append(OracleReport.from_abs(
-        f"{fam.kind.value}: s0 conditional vs joint",
-        joint(s0=a) - joint(s0=b), d_cond, tolerance))
-
-    a, b = _candidate_pairs(fam.kind, "c0", state)
-    d_cond = (log_full_conditional_c0(state, data, prior, a)
-              - log_full_conditional_c0(state, data, prior, b))
-    reports.append(OracleReport.from_abs(
-        f"{fam.kind.value}: c0 conditional vs joint",
-        joint(c0=a) - joint(c0=b), d_cond, tolerance))
-
-    a, b = _candidate_pairs(fam.kind, "edge", state)
-
-    def with_edge(value):
-        e = state.edges.copy()
-        e[0] = value  # pair (0, 1)
-        return e
-
-    d_cond = (log_full_conditional_cjk(state, data, prior, 0, 1, a)
-              - log_full_conditional_cjk(state, data, prior, 0, 1, b))
-    reports.append(OracleReport.from_abs(
-        f"{fam.kind.value}: edge conditional vs joint",
-        joint(edges=with_edge(a)) - joint(edges=with_edge(b)), d_cond, tolerance))
+    for name, conditional, at in checks:
+        a, b = _candidate_pairs(fam.kind, name, state)
+        joint_a, joint_b = (scipy_log_joint(fam.kind, data.y, state.w, state.links, *at(v), prior)
+                            for v in (a, b))
+        reports.append(OracleReport.from_abs(
+            f"{fam.kind.value}: {name} conditional vs joint",
+            joint_a - joint_b, conditional(a) - conditional(b), _CONSISTENCY_TOL))
 
     if fam.discrete_links:
         reports.append(_enumeration_tv_report(fam.kind, state, data, prior))
@@ -455,5 +427,5 @@ def default_check_suite(family, seed: int, replicates: int = 100_000) -> list[Or
         reports.extend(mc_correlation_check(params, replicates, rng))
     reports.extend(density_normalization_check(kind, s0, c0))
     if kind is not FamilyKind.GSST:
-        reports.extend(conditional_consistency_check(kind, None, rng))
+        reports.extend(conditional_consistency_check(kind, rng))
     return reports

@@ -156,7 +156,7 @@ class TestCriterion4DensityAndConditionals:
     @pytest.mark.parametrize("kind", ACCEPTANCE_FAMILIES)
     @pytest.mark.parametrize("seed", [1, 2])
     def test_conditional_consistency(self, kind, seed):
-        reports = conditional_consistency_check(kind, None, seed)
+        reports = conditional_consistency_check(kind, seed)
         announce(f"4 conditionals vs joint [{kind.value}, seed {seed}]",
                  all(r.passed for r in reports))
 

@@ -194,6 +194,21 @@ class TestFitFlow:
         assert err.startswith("error: ") and "c_1_2.csv" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["summarize", "export-graph", "mse"])
+    def test_node_names_that_do_not_fit_the_pairs_fail_cleanly(self, workdir, capsys,
+                                                               command):
+        out = self.fit_small(workdir)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["node_names"] = manifest["node_names"][:1]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        extra = {"export-graph": ["--out", workdir / "graph"],
+                 "mse": ["--data", workdir / "data.csv"]}.get(command, [])
+        assert run([command, "--samples", out, *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "manifest.json lists pairs" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("name", ["s0.csv", "c_1_2.csv"])
     @pytest.mark.parametrize("command", ["summarize", "mse"])
     def test_samples_with_rows_cut_fail_cleanly(self, workdir, capsys, command, name):

@@ -891,6 +891,7 @@ def test_recurrence_grid_matches_direct_evaluation(kind):
         + fam.log_b_step(mode, c_jk)
     )
     values, g, _ = inference._enum_link_grid(fam, a_j, a_k, cj, ck, c_jk, t_sum)
+    g = g.T  # (replicates, values), as the reference
     assert values.size > 16 * 2 ** 5  # the first grid doubled several times
     wide = np.arange(0.0, 2.0 * values.size)
     ref = _direct_logmass(fam, wide, a_j, a_k, cj, ck, c_jk, t_sum)
@@ -949,9 +950,9 @@ def test_enumerated_grid_equals_row_major_cumsum(kind, rows):
     elif rows > 1:
         assert values.size >= 4 * inference._ENUM_START + 1  # doubled at least twice
     ref = _row_major_logmass(get_family(kind), values, a_j, a_k, cj, ck, c_jk, t_sum)
-    assert np.array_equal(g, ref)
+    assert np.array_equal(g.T, ref)
     assert np.array_equal(g_max, ref.max(axis=1))
-    assert g.T.flags.c_contiguous  # values-major: the replicate axis is contiguous
+    assert g.flags.c_contiguous  # values-major: the replicate axis is contiguous
 
 
 class _RowUniforms:
@@ -981,7 +982,7 @@ def test_rows_softmax_sample_inverts_each_rows_cdf(m, rows):
     cut = cdf[np.arange(rows), at]
     u[2::3], u[3::3] = cut[2::3], np.nextafter(cut[3::3], 0.0)
     u[4::3] = np.minimum(np.nextafter(cut[4::3], 1.0), 1.0 - 2.0 ** -53)
-    idx = inference._rows_softmax_sample(g, g.max(axis=1), _RowUniforms(u))
+    idx = inference._rows_softmax_sample(g.T, g.max(axis=1), _RowUniforms(u))
     expected = [min(int(np.searchsorted(cdf[i], u[i])), m - 1) for i in range(rows)]
     assert idx.tolist() == expected
 
@@ -1015,6 +1016,52 @@ class TestAnchorConditional:
         data = Dataset(y=np.zeros((1, 2)))
         with pytest.raises(DomainError):
             sample_w_conditional(state, data, 0, rng)
+
+
+# Every single-site entry point and log_posterior, with a family it accepts.
+SINGLE_SITE_CALLS = {
+    "s0": (FamilyKind.GAMMA, lambda st, d, pr, rng: log_full_conditional_s0(st, d, pr, st.s0)),
+    "c0": (FamilyKind.GAMMA, lambda st, d, pr, rng: log_full_conditional_c0(st, d, pr, st.c0)),
+    "cjk": (FamilyKind.GAMMA,
+            lambda st, d, pr, rng: log_full_conditional_cjk(st, d, pr, 0, 1, st.edges[0])),
+    "link": (FamilyKind.NORMAL,
+             lambda st, d, pr, rng: sample_link_conditional(st, d, 0, 0, 1, rng)),
+    "w": (FamilyKind.NORMAL, lambda st, d, pr, rng: sample_w_conditional(st, d, 0, rng)),
+    "pmf": (FamilyKind.GAMMA, lambda st, d, pr, rng: link_conditional_pmf(st, d, 0, 0, 1)),
+    "coeffs": (FamilyKind.NORMAL,
+               lambda st, d, pr, rng: link_conditional_normal_coeffs(st, d, 0, 0, 1)),
+    "sweep": (FamilyKind.NORMAL, lambda st, d, pr, rng: gibbs_sweep(st, d, pr, rng)),
+    "log_posterior": (FamilyKind.NORMAL, lambda st, d, pr, rng: log_posterior(st, d, pr)),
+}
+
+
+def four_node_data(kind):
+    edges = np.full((4, 4), 2.0)
+    np.fill_diagonal(edges, 0.0)
+    cfg = SMALL[kind]
+    return simulate(ModelParams(kind, cfg["s0"], cfg["c0"], edges), 5, 8)[0]
+
+
+class TestStateMatchesData:
+    @pytest.mark.parametrize("mismatch", ["replicates", "nodes"])
+    @pytest.mark.parametrize("call", SINGLE_SITE_CALLS)
+    def test_rejected_before_any_draw(self, call, mismatch):
+        kind, run = SINGLE_SITE_CALLS[call]
+        if mismatch == "replicates":
+            _, _, state = make_state(kind, n=1)
+            data = make_state(kind, n=5)[1]
+        else:
+            _, _, state = make_state(kind, n=5)
+            data = four_node_data(kind)
+        before = copy.deepcopy(state)
+        rng = np.random.default_rng(6)
+        stream = copy.deepcopy(rng.bit_generator.state)
+        with pytest.raises(DomainError, match=r"do not match the data's \(n, P\) = "):
+            run(state, data, PriorConfig.default_for(kind), rng)
+        assert rng.bit_generator.state == stream
+        for name in ("s0", "c0", "edges", "w", "links", "log_posterior"):
+            assert np.array_equal(getattr(state, name), getattr(before, name)), name
+        assert (state.accept, state.step_sizes) == (before.accept, before.step_sizes)
 
 
 def zero_edge(state):

@@ -299,6 +299,19 @@ class TestDamagedSamples:
             load_samples(tmp_path / "out")
 
 
+    @pytest.mark.parametrize("keep", [1, 3])
+    def test_node_names_that_do_not_fit_the_pairs(self, tmp_path, small_samples, keep):
+        persist_samples(small_samples, tmp_path / "out")
+        manifest_path = tmp_path / "out" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["node_names"] = ["y1", "y2", "y3"][:keep]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ManifestError, match=re.escape(
+                f"manifest.json lists pairs [(0, 1)], which are not the node pairs of "
+                f"its {keep} node_names")):
+            load_samples(tmp_path / "out")
+
+
 class TestRunConfig:
     def test_from_file_and_overrides(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

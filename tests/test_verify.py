@@ -6,7 +6,6 @@ from qvgraph.families import FamilyKind
 from qvgraph.model import ModelParams
 from qvgraph.verify import (
     OracleReport,
-    SmallInstance,
     conditional_consistency_check,
     density_normalization_check,
     mc_correlation_check,
@@ -125,26 +124,30 @@ class TestConditionalConsistency:
          FamilyKind.BETA, FamilyKind.INVERSE_BETA],
     )
     def test_all_checks_pass(self, kind, rng):
-        reports = conditional_consistency_check(kind, None, rng)
+        reports = conditional_consistency_check(kind, rng)
         assert reports
         for report in reports:
             assert report.passed, report
 
-    def test_small_instance_bounds(self):
-        edges = np.zeros((4, 4))
-        params = ModelParams(FamilyKind.NORMAL, 0.0, 1.0, edges)
-        with pytest.raises(DomainError):
-            SmallInstance(params, n=2)
-        with pytest.raises(DomainError):
-            SmallInstance(normal_params(), n=5)
+    def test_check_names_in_order(self):
+        conditionals = [f"{name} conditional vs joint" for name in ("s0", "c0", "edge")]
+        normal = conditional_consistency_check(FamilyKind.NORMAL, 1)
+        assert [r.check_name for r in normal] == [f"normal: {c}" for c in conditionals] + [
+            "normal: link conditional mean (quadratic fit)",
+            "normal: link conditional sd (quadratic fit)",
+        ]
+        gamma = conditional_consistency_check(FamilyKind.GAMMA, 1)
+        assert [r.check_name for r in gamma] == [f"gamma: {c}" for c in conditionals] + [
+            "gamma: link enumeration vs brute force (TV)",
+        ]
 
     def test_gsst_rejected(self, rng):
         with pytest.raises(DomainError):
-            conditional_consistency_check(FamilyKind.GSST, None, rng)
+            conditional_consistency_check(FamilyKind.GSST, rng)
 
     def test_deterministic_given_seed(self):
-        a = conditional_consistency_check(FamilyKind.GAMMA, None, 7)
-        b = conditional_consistency_check(FamilyKind.GAMMA, None, 7)
+        a = conditional_consistency_check(FamilyKind.GAMMA, 7)
+        b = conditional_consistency_check(FamilyKind.GAMMA, 7)
         assert [(r.check_name, r.estimate) for r in a] == [
             (r.check_name, r.estimate) for r in b
         ]
